@@ -43,15 +43,15 @@ let component_est ~kind name =
   | "p384" -> if ev then 140. else 70.
   | "p521" -> if ev then 300. else 150.
   | "kyber512" | "kyber768" | "kyber1024" -> 0.6
-  | "kyber90s512" -> 60.
-  | "kyber90s768" -> 110.
-  | "kyber90s1024" -> 200.
+  | "kyber90s512" -> 0.6
+  | "kyber90s768" -> 1.
+  | "kyber90s1024" -> 1.5
   | "bikel1" | "bikel3" | "hqc128" | "hqc192" | "hqc256" -> 1.5
   | "falcon512" | "falcon1024" -> 0.3
   | "dilithium2" | "dilithium3" | "dilithium5" -> 2.5
-  | "dilithium2_aes" -> 520.
-  | "dilithium3_aes" -> 1000.
-  | "dilithium5_aes" -> 1800.
+  | "dilithium2_aes" -> 3.
+  | "dilithium3_aes" -> 5.
+  | "dilithium5_aes" -> 8.
   | "sphincs128" ->
       if kind = "sign" then 1100. else if kind = "verify" then 40. else 30.
   | "sphincs192" ->
@@ -66,7 +66,8 @@ let component_est ~kind name =
       if kind = "sign" then 170. else if kind = "verify" then 3. else 0.1
   | "rsa:4096" ->
       if kind = "sign" then 370. else if kind = "verify" then 5. else 0.1
-  | "keccak-f1600" -> 0.002
+  | "keccak-f1600" | "aes256-block" -> 0.002
+  | "aes128-gcm-seal-1k" -> 0.05
   | "kyber-ntt" | "dilithium-ntt" | "sha256-1k" -> 0.01
   | "hkdf-sha256" -> 0.02
   | _ -> 1.
@@ -93,6 +94,22 @@ let plan ~kind ~hybrid name =
   let samples = if e >= 50. then 3 else 5 in
   let warmup = if e >= 50. then 1 else 2 in
   (samples, batch, warmup)
+
+(* Signing cost depends on the message (Dilithium loops on rejection
+   sampling), so timing one reused message measures one rejection count
+   forever. Sign and verify instead cycle through [messages] drawn from
+   the op's seed, one per iteration. The set size comes from the static
+   plan, capped at 8, so it is the same on every host. *)
+let message_count ~kind ~hybrid name =
+  let samples, batch, warmup = plan ~kind ~hybrid name in
+  min 8 (warmup + (samples * batch))
+
+let cycle items f =
+  let i = ref 0 in
+  fun () ->
+    let x = items.(!i) in
+    i := (!i + 1) mod Array.length items;
+    f x
 
 (* --- the registry ------------------------------------------------- *)
 
@@ -127,22 +144,29 @@ let ka_ops (k : Pqc.Kem.t) =
 
 let sa_ops (s : Pqc.Sigalg.t) =
   let rng kind = Crypto.Drbg.create ~seed:("profile/sa/" ^ kind ^ "/" ^ s.name) in
-  (* a CertificateVerify-sized message: 64-byte transcript-hash block *)
-  let msg rng = Crypto.Drbg.generate rng 64 in
+  (* CertificateVerify-sized messages: 64-byte transcript-hash blocks *)
+  let messages kind rng =
+    Array.init (message_count ~kind ~hybrid:s.hybrid s.name) (fun _ ->
+        Crypto.Drbg.generate rng 64)
+  in
   [ make_op ~group:Sa ~alg:s.name ~kind:"keygen" ~hybrid:s.hybrid (fun () ->
         let rng = rng "keygen" in
         fun () -> ignore (s.keygen rng : Pqc.Sigalg.keypair));
     make_op ~group:Sa ~alg:s.name ~kind:"sign" ~hybrid:s.hybrid (fun () ->
         let rng = rng "sign" in
         let kp = s.keygen rng in
-        let m = msg rng in
-        fun () -> ignore (s.sign rng ~secret:kp.secret m : string));
+        cycle (messages "sign" rng) (fun m ->
+            ignore (s.sign rng ~secret:kp.secret m : string)));
     make_op ~group:Sa ~alg:s.name ~kind:"verify" ~hybrid:s.hybrid (fun () ->
         let rng = rng "verify" in
         let kp = s.keygen rng in
-        let m = msg rng in
-        let sg = s.sign rng ~secret:kp.secret m in
-        fun () -> ignore (s.verify ~public:kp.public ~msg:m sg : bool)) ]
+        let signed =
+          Array.map
+            (fun m -> (m, s.sign rng ~secret:kp.secret m))
+            (messages "verify" rng)
+        in
+        cycle signed (fun (m, sg) ->
+            ignore (s.verify ~public:kp.public ~msg:m sg : bool))) ]
 
 let kernel_ops () =
   let kernel alg prepare = make_op ~group:Kernel ~alg ~kind:"kernel" ~hybrid:false prepare in
@@ -157,7 +181,15 @@ let kernel_ops () =
                   : string));
     kernel "sha256-1k" (fun () ->
         let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
-        fun () -> ignore (Crypto.Sha256.digest m : string)) ]
+        fun () -> ignore (Crypto.Sha256.digest m : string));
+    kernel "aes256-block" (fun () ->
+        let k = Crypto.Aes.expand_key (String.init 32 Char.chr) in
+        let b = String.make 16 '\xa5' in
+        fun () -> ignore (Crypto.Aes.encrypt_block k b : string));
+    kernel "aes128-gcm-seal-1k" (fun () ->
+        let k = Crypto.Aes_gcm.of_secret (String.init 16 Char.chr) in
+        let nonce = String.make 12 '\001' and m = String.make 1024 '\042' in
+        fun () -> ignore (Crypto.Aes_gcm.seal k ~nonce ~ad:"" m : string)) ]
 
 let registry () =
   List.concat_map ka_ops Pqc.Registry.kems

@@ -53,7 +53,10 @@ val registry : unit -> op list
 (** The full profiled-primitive registry, in deterministic order: every
     {!Pqc.Registry} KA x {keygen, encaps, decaps}, every SA x {keygen,
     sign, verify}, then the substrate kernels (Keccak-f[1600], Kyber and
-    Dilithium NTT, HKDF-SHA256, SHA-256 over 1 KiB). *)
+    Dilithium NTT, HKDF-SHA256, SHA-256 over 1 KiB, one AES-256 block,
+    an AES-128-GCM seal of 1 KiB). Sign and verify cycle through a
+    fixed set of messages drawn from the op's seed, so message-dependent
+    rejection sampling is averaged rather than frozen at one count. *)
 
 val filter : string -> op list -> op list
 (** [filter needle ops] keeps ops whose name contains [needle]
