@@ -181,14 +181,9 @@ let stream expand ~wide seed nonce : int -> string =
     let key =
       if String.length seed = 32 then seed else Crypto.Sha256.digest seed
     in
-    let k = Crypto.Aes.expand_key key in
     let iv = nonce16 nonce ^ String.make 10 '\000' in
-    let pos = ref 0 in
-    fun len ->
-      let out = Crypto.Aes.ctr_keystream k ~nonce:iv (!pos + len) in
-      let s = String.sub out !pos len in
-      pos := !pos + len;
-      s
+    let s = Crypto.Aes.ctr_stream (Crypto.Aes.expand_key key) ~nonce:iv in
+    fun len -> Crypto.Aes.squeeze s len
 
 (* --- parameter sets ------------------------------------------------------ *)
 
