@@ -136,10 +136,51 @@ let test_aes_ctr () =
   let pt = String.init 77 (fun i -> Char.chr (i * 3 mod 256)) in
   let ct = Aes.ctr_encrypt key ~nonce:(String.make 12 '\000') pt in
   Alcotest.(check string) "ctr roundtrip" pt
-    (Aes.ctr_encrypt key ~nonce:(String.make 12 '\000') ct)
+    (Aes.ctr_encrypt key ~nonce:(String.make 12 '\000') ct);
+  (* block i is the block cipher applied to nonce || big-endian i *)
+  List.iter
+    (fun nonce ->
+      let blocks = 300 in
+      let counter_block i =
+        String.init 16 (fun j ->
+            if j < String.length nonce then nonce.[j]
+            else if j < 8 then '\000'
+            else Char.chr ((i lsr (8 * (15 - j))) land 0xff))
+      in
+      let want =
+        String.concat ""
+          (List.init blocks (fun i -> Aes.encrypt_block key (counter_block i)))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "ctr blocks, %d-byte nonce" (String.length nonce))
+        (Bytesx.to_hex want)
+        (Bytesx.to_hex (Aes.ctr_keystream key ~nonce (16 * blocks))))
+    [ String.make 12 '\x5a'; ""; String.make 14 '\x11' ]
+
+let test_ctr_exhaustion () =
+  (* a 15-byte nonce leaves one counter byte: 256 blocks, then an error
+     rather than a wrapped counter that repeats block 0 *)
+  let key = Aes.expand_key (String.make 32 '\001') in
+  let nonce = String.make 15 '\002' in
+  let s = Aes.ctr_stream key ~nonce in
+  Alcotest.(check int) "256 blocks available" 4096
+    (String.length (Aes.squeeze s 4096));
+  Alcotest.check_raises "257th block"
+    (Invalid_argument "Aes.squeeze: CTR counter exhausted") (fun () ->
+      ignore (Aes.squeeze s 1));
+  Alcotest.check_raises "one-shot past the end"
+    (Invalid_argument "Aes.squeeze: CTR counter exhausted") (fun () ->
+      ignore (Aes.ctr_keystream key ~nonce 4097));
+  let last = Aes.ctr_stream ~counter:255 key ~nonce in
+  Alcotest.(check string) "counter 255 is the last block"
+    (String.sub (Aes.ctr_keystream key ~nonce 4096) 4080 16)
+    (Aes.squeeze last 16);
+  Alcotest.check_raises "counter outside the field"
+    (Invalid_argument "Aes.ctr_stream: counter out of range") (fun () ->
+      ignore (Aes.ctr_stream ~counter:256 key ~nonce))
 
 let test_gcm () =
-  (* NIST GCM test case 1/2 and 4 *)
+  (* NIST GCM test cases 1-4 *)
   let k0 = Aes_gcm.of_secret (String.make 16 '\000') in
   check_hex "gcm case 1" "58e2fccefa7e3061367f1d57a4e7455a"
     (Aes_gcm.seal k0 ~nonce:(String.make 12 '\000') ~ad:"" "");
@@ -153,6 +194,12 @@ let test_gcm () =
       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
        1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
   in
+  check_hex "gcm case 3"
+    "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+     21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985\
+     4d5c2af327cd64a62cf35abd2ba6fab4"
+    (Aes_gcm.seal k ~nonce ~ad:""
+       (pt ^ hex "1aafd255"));
   let ad = hex "feedfacedeadbeeffeedfacedeadbeefabaddad2" in
   check_hex "gcm case 4"
     "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
@@ -168,7 +215,21 @@ let test_gcm () =
   Alcotest.(check bool) "gcm tamper" true
     (Aes_gcm.open_ k ~nonce ~ad (Bytes.to_string sealed) = None);
   Alcotest.(check bool) "gcm wrong ad" true
-    (Aes_gcm.open_ k ~nonce ~ad:"other" (Aes_gcm.seal k ~nonce ~ad pt) = None)
+    (Aes_gcm.open_ k ~nonce ~ad:"other" (Aes_gcm.seal k ~nonce ~ad pt) = None);
+  (* AES-256-GCM over 64 full blocks and a 5-byte tail with 13 bytes of
+     AD; values recorded from the bit-serial GHASH and byte-wise AES *)
+  let k = Aes_gcm.of_secret (String.init 32 (fun i -> Char.chr (i * 7 land 0xff))) in
+  let nonce = String.init 12 (fun i -> Char.chr (0xc0 + i)) in
+  let pt = String.init 1029 (fun i -> Char.chr (i * 31 land 0xff)) in
+  let ad = String.init 13 (fun i -> Char.chr (0x40 + i)) in
+  let sealed = Aes_gcm.seal k ~nonce ~ad pt in
+  check_hex "gcm multi-block digest"
+    "cafc84da971e5a3d4570dfd13f94c913ed2c6f356b32da134561810f3870a302"
+    (Sha256.digest sealed);
+  check_hex "gcm multi-block tag" "f8ca7d0ef933cc6942f50aef3000480e"
+    (String.sub sealed 1029 16);
+  Alcotest.(check (option string)) "gcm multi-block roundtrip" (Some pt)
+    (Aes_gcm.open_ k ~nonce ~ad sealed)
 
 (* ---- ChaCha20-Poly1305 ----------------------------------------------------- *)
 
@@ -212,6 +273,27 @@ let test_drbg () =
 
 let qc name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:200 gen prop)
 
+(* chunk sizes that land reads on both sides of the 8-byte lane fast
+   path, the 16-byte AES block and the 136/168-byte SHAKE rates *)
+let chunks =
+  QCheck.(
+    list_of_size (Gen.int_range 1 25)
+      (oneof
+         [ int_range 0 20;
+           oneofl [ 7; 8; 9; 15; 16; 17; 31; 33; 135; 136; 137; 167; 168; 169 ];
+           int_range 100 400 ]))
+
+let squeezed_in squeeze chunks = String.concat "" (List.map squeeze chunks)
+let total = List.fold_left ( + ) 0
+let ctr_key = Aes.expand_key (Sha256.digest "ctr-chunks")
+
+(* flip one bit of a sealed record: ciphertext or tag *)
+let flip s bit =
+  let b = Bytes.of_string s in
+  let i = bit / 8 mod Bytes.length b in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+  Bytes.to_string b
+
 let prop_tests =
   [ qc "hex roundtrip" QCheck.string (fun s -> Bytesx.of_hex (Bytesx.to_hex s) = s);
     qc "xor involution"
@@ -232,6 +314,23 @@ let prop_tests =
         let k = Aes_gcm.of_secret (Sha256.digest "key") in
         let nonce = String.sub (Sha256.digest "nonce") 0 12 in
         Aes_gcm.open_ k ~nonce ~ad (Aes_gcm.seal k ~nonce ~ad pt) = Some pt);
+    qc "shake128 squeeze is chunking-invariant" chunks (fun cs ->
+        let x = Keccak.Xof.shake128 msg in
+        squeezed_in (Keccak.Xof.squeeze x) cs = Keccak.shake128 msg (total cs));
+    qc "shake256 squeeze is chunking-invariant" chunks (fun cs ->
+        let x = Keccak.Xof.shake256 msg in
+        squeezed_in (Keccak.Xof.squeeze x) cs = Keccak.shake256 msg (total cs));
+    qc "aes ctr squeeze is chunking-invariant" chunks (fun cs ->
+        let nonce = String.make 12 '\x33' in
+        let s = Aes.ctr_stream ctr_key ~nonce in
+        squeezed_in (Aes.squeeze s) cs = Aes.ctr_keystream ctr_key ~nonce (total cs));
+    qc "gcm rejects any one-bit flip"
+      QCheck.(pair small_string small_nat)
+      (fun (pt, bit) ->
+        let k = Aes_gcm.of_secret (Sha256.digest "flip") in
+        let nonce = String.make 12 '\007' in
+        let sealed = Aes_gcm.seal k ~nonce ~ad:"hdr" pt in
+        Aes_gcm.open_ k ~nonce ~ad:"hdr" (flip sealed bit) = None);
     qc "chacha20poly1305 roundtrip random"
       QCheck.(pair small_string small_string)
       (fun (pt, ad) ->
@@ -256,6 +355,7 @@ let suites =
         Alcotest.test_case "hkdf rfc5869" `Quick test_hkdf;
         Alcotest.test_case "aes fips-197" `Quick test_aes;
         Alcotest.test_case "aes ctr" `Quick test_aes_ctr;
+        Alcotest.test_case "aes ctr counter exhaustion" `Quick test_ctr_exhaustion;
         Alcotest.test_case "aes-gcm vectors + tamper" `Quick test_gcm;
         Alcotest.test_case "chacha20poly1305 rfc8439" `Quick test_chacha20poly1305;
         Alcotest.test_case "drbg" `Quick test_drbg ]
