@@ -154,17 +154,93 @@ let test_cache_corrupt_entry_is_miss () =
   let c = Result_cache.create ~dir in
   let spec = List.hd (subgrid "pool-corrupt") in
   let k = Result_cache.key c spec in
-  let o1, s1 = Result_cache.find_or_run c spec (fun () -> Experiment.run_spec spec) in
-  Alcotest.(check bool) "first is a miss" true (s1 = `Miss);
+  Alcotest.(check bool) "first is a miss" true (Result_cache.find c k = None);
+  let o1 = Experiment.run_spec spec in
+  Result_cache.store c k o1;
   (* clobber the entry on disk; the reader must fall back to executing *)
   let oc = open_out_bin (Filename.concat dir (k ^ ".outcome")) in
   output_string oc "not a marshalled outcome";
   close_out oc;
-  let o2, s2 = Result_cache.find_or_run c spec (fun () -> Experiment.run_spec spec) in
-  Alcotest.(check bool) "corrupt entry re-executes" true (s2 = `Miss);
+  Alcotest.(check bool) "corrupt entry re-executes" true
+    (Result_cache.find c k = None);
+  let o2 = Experiment.run_spec spec in
   Alcotest.(check bool) "and returns the same outcome" true (o1 = o2);
-  let _, s3 = Result_cache.find_or_run c spec (fun () -> Experiment.run_spec spec) in
-  Alcotest.(check bool) "repaired entry now hits" true (s3 = `Hit)
+  Result_cache.store c k o2;
+  Alcotest.(check bool) "repaired entry now hits" true
+    (Result_cache.find c k = Some o1);
+  Alcotest.(check (pair int int)) "hits and misses counted" (1, 2)
+    (Result_cache.hits c, Result_cache.misses c)
+
+(* ---- farm cells in the cache ----------------------------------------------- *)
+
+let farm_grid seed =
+  List.map
+    (fun profile ->
+      Experiment.farm_spec ~seed ~profile ~servers:2 ~duration_s:0.2
+        ~max_connections:120 (kem "kyber768") (sa "dilithium3"))
+    [ "poisson"; "flash-crowd" ]
+
+let files_with ext dir =
+  List.filter (fun f -> Filename.check_suffix f ext)
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let artifact ~seed (exec : Exec.t) =
+  Metrics.to_json_string (Metrics.artifact exec.Exec.metrics ~seed)
+
+let test_farm_cache_roundtrip () =
+  let dir = temp_cache_dir () in
+  let specs = farm_grid "pool-farm-cache" in
+  let n = List.length specs in
+  let first = Exec.create ~jobs:1 ~cache_dir:dir () in
+  let cold = Exec.farm_cells first specs in
+  let c1 = Option.get first.Exec.cache in
+  Alcotest.(check (pair int int)) "cold run misses every cell" (0, n)
+    (Result_cache.hits c1, Result_cache.misses c1);
+  Alcotest.(check int) "one .farm entry per cell" n
+    (List.length (files_with ".farm" dir));
+  let second = Exec.create ~jobs:2 ~cache_dir:dir () in
+  let warm = Exec.farm_cells second specs in
+  let c2 = Option.get second.Exec.cache in
+  Alcotest.(check (pair int int)) "warm run hits every cell" (n, 0)
+    (Result_cache.hits c2, Result_cache.misses c2);
+  Alcotest.(check bool) "cached farm outcomes identical" true
+    (List.for_all Result.is_ok cold && cold = warm);
+  Alcotest.(check string) "artifact identical at jobs 1 (cold) and 2 (warm)"
+    (artifact ~seed:"pool-farm-cache" first)
+    (artifact ~seed:"pool-farm-cache" second)
+
+(* a standard and a farm cell in one directory: each kind only ever
+   reads its own files, even when the other kind's bytes sit at its
+   path *)
+let test_cache_kinds_isolated () =
+  let dir = temp_cache_dir () in
+  let spec = List.hd (subgrid "pool-kinds") in
+  let fspec = List.hd (farm_grid "pool-kinds") in
+  let run () =
+    let exec = Exec.create ~jobs:1 ~cache_dir:dir () in
+    let r = Exec.cell exec spec and fr = Exec.farm_cells exec [ fspec ] in
+    let c = Option.get exec.Exec.cache in
+    (r, fr, (Result_cache.hits c, Result_cache.misses c))
+  in
+  let r1, fr1, counts1 = run () in
+  Alcotest.(check (pair int int)) "cold: both miss" (0, 2) counts1;
+  let outcome_file, farm_file =
+    match (files_with ".outcome" dir, files_with ".farm" dir) with
+    | [ o ], [ f ] -> (Filename.concat dir o, Filename.concat dir f)
+    | _ -> Alcotest.fail "expected one entry of each kind"
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let write f s = Out_channel.with_open_bin f (fun oc -> output_string oc s) in
+  let outcome_bytes = read outcome_file and farm_bytes = read farm_file in
+  write outcome_file farm_bytes;
+  write farm_file outcome_bytes;
+  let r2, fr2, counts2 = run () in
+  Alcotest.(check (pair int int)) "swapped entries: both miss" (0, 2) counts2;
+  let r3, fr3, counts3 = run () in
+  Alcotest.(check (pair int int)) "rewritten entries: both hit" (2, 0) counts3;
+  Alcotest.(check bool) "outcomes unchanged" true
+    (Result.is_ok r1 && r1 = r2 && r2 = r3
+    && List.for_all Result.is_ok fr1 && fr1 = fr2 && fr2 = fr3)
 
 let test_catalog_aliases () =
   Alcotest.(check string) "table2a resolves" "all-kem"
@@ -191,4 +267,8 @@ let suites =
         Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
         Alcotest.test_case "corrupt entry is a miss" `Quick
           test_cache_corrupt_entry_is_miss;
+        Alcotest.test_case "farm cells cold/warm, jobs 1 = jobs 2" `Slow
+          test_farm_cache_roundtrip;
+        Alcotest.test_case "standard and farm entries never cross" `Slow
+          test_cache_kinds_isolated;
         Alcotest.test_case "catalog aliases" `Quick test_catalog_aliases ] ) ]
