@@ -69,31 +69,63 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
 
+type farm_cell_result = (Experiment.farm_outcome, cell_error) result
+
+(* What tells the cell kinds apart. The runner below is the only
+   execution path; [cells] and [farm_cells] instantiate it. *)
+type ('spec, 'outcome) kind = {
+  label : 'spec -> string;
+  retry : 'spec -> int -> 'spec;  (* the spec of retry attempt [k] *)
+  run : ?trace:Trace.Buf.t -> 'spec -> 'outcome;
+  entry : ('spec, 'outcome) Result_cache.kind;
+  record : Metrics.t -> 'spec -> ('outcome, string) result -> unit;
+  traced : bool;
+}
+
 (* attempt 0 runs the spec verbatim (cache keys and historical outputs
    are unchanged); attempt [k > 0] reseeds the cell's DRBG through the
    seed string, so retry results depend only on the spec and the attempt
    number — never on scheduling or [jobs] *)
-let attempt_spec spec k =
-  if k = 0 then spec
-  else
-    { spec with
-      Experiment.sp_seed =
-        Printf.sprintf "%s#retry%d" spec.Experiment.sp_seed k }
+let retry_seed seed k = Printf.sprintf "%s#retry%d" seed k
 
-let run_cell ?trace t spec =
+let standard =
+  { label = Experiment.spec_label;
+    retry =
+      (fun sp k ->
+        { sp with Experiment.sp_seed = retry_seed sp.Experiment.sp_seed k });
+    run = Experiment.run_spec;
+    entry = Result_cache.standard;
+    record = Metrics.record_cell;
+    traced = true }
+
+(* Farm cells are not traced: one cell spans thousands of handshakes,
+   so a per-cell event buffer would dwarf the trace store; the
+   single-pair cells cover tracing needs. *)
+let farm =
+  { label = Experiment.farm_spec_label;
+    retry =
+      (fun sp k ->
+        { sp with Experiment.fa_seed = retry_seed sp.Experiment.fa_seed k });
+    run = (fun ?trace:_ sp -> Experiment.run_farm_spec sp);
+    entry = Result_cache.farm;
+    record = Metrics.record_farm_cell;
+    traced = false }
+
+let run_cell ?trace t kind spec =
   (* volatile telemetry only (ce_elapsed_s, cell_wall_s): host time never
      reaches a deterministic artifact, see Clock *)
   let t0 = Clock.now_s () in
+  let label = kind.label spec in
   let rec attempt k =
     (* a retried attempt restarts the cell from scratch, so its trace
        does too — only the completing attempt's events survive *)
-    (match trace with Some b -> Trace.Buf.clear b | None -> ());
+    Option.iter Trace.Buf.clear trace;
     match
       (match t.fail_cell with
-      | Some needle when contains ~needle (Experiment.spec_label spec) ->
-        failwith ("injected failure for " ^ Experiment.spec_label spec)
+      | Some needle when contains ~needle label ->
+        failwith ("injected failure for " ^ label)
       | _ -> ());
-      Experiment.run_spec ?trace (attempt_spec spec k)
+      kind.run ?trace (if k = 0 then spec else kind.retry spec k)
     with
     | o ->
       Atomic.incr t.counters.c_ok;
@@ -113,36 +145,36 @@ let run_cell ?trace t spec =
   in
   attempt 0
 
-let cells t specs =
+let grid t kind specs =
   (* one buffer per cell, allocated in spec order before the fan-out and
      merged into the store in that same order afterwards, so the trace is
      bit-identical whatever [jobs]. A cell served from the cache keeps
      its (empty, labelled) buffer: cache hits execute nothing. *)
   let bufs =
-    match t.trace with
-    | None -> List.map (fun _ -> None) specs
-    | Some _ ->
-      List.map
-        (fun sp ->
-          Some (Trace.Buf.create ~label:(Experiment.spec_label sp) ()))
-        specs
+    List.map
+      (fun sp ->
+        match t.trace with
+        | Some _ when kind.traced ->
+          Some (Trace.Buf.create ~label:(kind.label sp) ())
+        | _ -> None)
+      specs
   in
   let run (spec, trace) =
     let t0 = Clock.now_s () in
     let result =
       match t.cache with
-      | None -> (run_cell ?trace t spec, `Miss)
+      | None -> (run_cell ?trace t kind spec, `Miss)
       | Some c -> (
-        let k = Result_cache.key c spec in
-        match Result_cache.find c k with
+        let k = Result_cache.key_for c kind.entry spec in
+        match Result_cache.read c kind.entry k with
         | Some o ->
           Atomic.incr t.counters.c_ok;
           (Ok o, `Hit)
         | None ->
-          let r = run_cell ?trace t spec in
+          let r = run_cell ?trace t kind spec in
           (* failures are never cached: the next run re-executes the cell
              instead of replaying the error *)
-          (match r with Ok o -> Result_cache.store c k o | Error _ -> ());
+          (match r with Ok o -> Result_cache.write c kind.entry k o | Error _ -> ());
           (r, `Miss))
     in
     (* self-telemetry: volatile (host wall clock, scheduling-dependent),
@@ -171,131 +203,31 @@ let cells t specs =
           in
           Printf.eprintf "  [%*d/%d] %-45s %6.2fs%s\n%!"
             (String.length (string_of_int total))
-            completed total
-            (Experiment.spec_label spec)
-            elapsed note)
+            completed total (kind.label spec) elapsed note)
   in
   let results =
     Pool.map ~jobs:t.jobs ?on_done run (List.combine specs bufs)
   in
   (match t.trace with
   | None -> ()
-  | Some store ->
-    List.iter
-      (function Some b -> Trace.Store.add store b | None -> ())
-      bufs);
+  | Some store -> List.iter (Option.iter (Trace.Store.add store)) bufs);
   (* record cell summaries in spec order from this (coordinating)
      domain, mirroring the trace-buffer merge above: the artifact's cell
      order is a function of the grids alone, never of [jobs] *)
   List.iter2
     (fun spec (r, _status) ->
-      Metrics.record_cell t.metrics spec
-        (Result.map_error (fun e -> e.ce_message) r))
+      kind.record t.metrics spec (Result.map_error (fun e -> e.ce_message) r))
     specs results;
   List.map fst results
+
+let cells t specs = grid t standard specs
 
 let cell t spec =
   match cells t [ spec ] with
   | [ r ] -> r
   | _ -> assert false
 
-(* ---- farm cells ---------------------------------------------------------- *)
-
-type farm_cell_result = (Experiment.farm_outcome, cell_error) result
-
-let attempt_farm_spec spec k =
-  if k = 0 then spec
-  else
-    { spec with
-      Experiment.fa_seed =
-        Printf.sprintf "%s#retry%d" spec.Experiment.fa_seed k }
-
-let run_farm_cell t spec =
-  let t0 = Clock.now_s () in
-  let rec attempt k =
-    match
-      (match t.fail_cell with
-      | Some needle when contains ~needle (Experiment.farm_spec_label spec) ->
-        failwith
-          ("injected failure for " ^ Experiment.farm_spec_label spec)
-      | _ -> ());
-      Experiment.run_farm_spec (attempt_farm_spec spec k)
-    with
-    | o ->
-      Atomic.incr t.counters.c_ok;
-      if k > 0 then Atomic.incr t.counters.c_retried;
-      Ok o
-    | exception e ->
-      let bt = Printexc.get_backtrace () in
-      if k < t.retries then attempt (k + 1)
-      else begin
-        Atomic.incr t.counters.c_failed;
-        Error
-          { ce_message = Printexc.to_string e;
-            ce_backtrace = bt;
-            ce_attempts = k + 1;
-            ce_elapsed_s = Clock.elapsed_s t0 }
-      end
-  in
-  attempt 0
-
-(* the farm counterpart of [cells]: same cache / retry / fail-injection
-   / metrics-in-spec-order contract. Farm cells are not traced — one
-   cell spans thousands of handshakes, so a per-cell event buffer would
-   dwarf the trace store; the single-pair cells cover tracing needs. *)
-let farm_cells t specs =
-  let run spec =
-    let t0 = Clock.now_s () in
-    let result =
-      match t.cache with
-      | None -> (run_farm_cell t spec, `Miss)
-      | Some c -> (
-        let k = Result_cache.farm_key c spec in
-        match Result_cache.find_farm c k with
-        | Some o ->
-          Atomic.incr t.counters.c_ok;
-          (Ok o, `Hit)
-        | None ->
-          let r = run_farm_cell t spec in
-          (match r with
-          | Ok o -> Result_cache.store_farm c k o
-          | Error _ -> ());
-          (r, `Miss))
-    in
-    Metrics.observe t.metrics "cell_wall_s" (Clock.elapsed_s t0);
-    Metrics.incr t.metrics
-      (match snd result with
-      | `Hit -> "cells_from_cache"
-      | `Miss -> "cells_executed");
-    result
-  in
-  let on_done =
-    if not t.progress then None
-    else
-      Some
-        (fun ~index:_ ~completed ~total spec (r, status) elapsed ->
-          let note =
-            match (r, status) with
-            | Ok _, `Hit -> "  (cached)"
-            | Ok _, `Miss -> ""
-            | Error e, _ ->
-              Printf.sprintf "  FAILED after %d attempt%s: %s" e.ce_attempts
-                (if e.ce_attempts = 1 then "" else "s")
-                e.ce_message
-          in
-          Printf.eprintf "  [%*d/%d] %-45s %6.2fs%s\n%!"
-            (String.length (string_of_int total))
-            completed total
-            (Experiment.farm_spec_label spec)
-            elapsed note)
-  in
-  let results = Pool.map ~jobs:t.jobs ?on_done run specs in
-  List.iter2
-    (fun spec (r, _status) ->
-      Metrics.record_farm_cell t.metrics spec
-        (Result.map_error (fun e -> e.ce_message) r))
-    specs results;
-  List.map fst results
+let farm_cells t specs = grid t farm specs
 
 let ok_count t = Atomic.get t.counters.c_ok
 let retried_count t = Atomic.get t.counters.c_retried

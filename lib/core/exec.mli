@@ -4,6 +4,11 @@
     {!Catalog} accepts one; the default {!sequential} reproduces the
     historical single-core behaviour bit for bit.
 
+    Both cell kinds, single-pair {!cells} and server-farm
+    {!farm_cells}, run on one private grid runner: cache lookup, retry,
+    fault injection, health counters, progress and in-order metrics
+    recording are the same code for each.
+
     Execution is fault-tolerant end to end: a cell whose experiment
     raises (e.g. zero completed handshakes under 10 % loss) is retried
     with a deterministically reseeded DRBG, and if the attempt budget is
@@ -26,8 +31,8 @@ type counters = {
   c_failed : int Atomic.t;
   c_started : float;
 }
-(** Campaign health, accumulated across every {!cells} call on this
-    context (domain-safe). *)
+(** Campaign health, accumulated across every {!cells} and
+    {!farm_cells} call on this context (domain-safe). *)
 
 type t = {
   jobs : int;  (** domains used per grid, including the caller's *)
@@ -88,12 +93,14 @@ val cell : t -> Experiment.spec -> cell_result
 type farm_cell_result = (Experiment.farm_outcome, cell_error) result
 
 val farm_cells : t -> Experiment.farm_spec list -> farm_cell_result list
-(** {!cells} for server-farm grids: same cache (separate [.farm]
-    entries), same retry reseeding through [fa_seed], same fault
-    injection (matched against {!Experiment.farm_spec_label}), and farm
-    summaries recorded via {!Metrics.record_farm_cell} in spec order.
-    Farm cells are never traced: one cell spans thousands of handshakes,
-    so per-event buffers belong to the single-pair campaigns. *)
+(** {!cells} for server-farm grids, on the same runner: the same cache
+    directory ({!Result_cache.farm} entries), retry reseeding through
+    [fa_seed], fault injection (matched against
+    {!Experiment.farm_spec_label}), progress lines and health counters,
+    with summaries recorded via {!Metrics.record_farm_cell} in spec
+    order. Farm cells are never traced: one cell spans thousands of
+    handshakes, so per-event buffers belong to the single-pair
+    campaigns. *)
 
 val ok_count : t -> int
 (** Cells that completed (first try, retry, or cache hit). *)

@@ -317,73 +317,66 @@ let note_experiment t name =
       if not (List.mem name t.experiments_rev) then
         t.experiments_rev <- name :: t.experiments_rev)
 
-(* Called by [Exec.cells] once per grid, in spec order, from the
+(* Called by [Exec]'s runner once per grid, in spec order, from the
    coordinating domain — so recording order (and thus the artifact) is
    independent of [jobs]. Re-run cells (same fingerprint) keep their
-   first recording; grids that share cells stay deduplicated. *)
-let record_cell t (sp : Experiment.spec) result =
-  let id = Experiment.spec_fingerprint sp in
+   first recording; grids that share cells stay deduplicated. Both cell
+   kinds share one [seen] / [labels] pair: fingerprints never collide
+   across kinds (the farm tag differs), and neither do label formats.
+   [add key] records the cell under its disambiguated key. *)
+let record_once t ~id ~label add =
   locked t (fun () ->
       if not (Hashtbl.mem t.seen id) then begin
         Hashtbl.add t.seen id ();
-        let label = Experiment.spec_label sp in
         let occurrences =
           Option.value ~default:0 (Hashtbl.find_opt t.labels label)
         in
         Hashtbl.replace t.labels label (occurrences + 1);
         (* ablation grids reuse labels (same pair, different knob):
            disambiguate later occurrences deterministically *)
-        let key =
-          if occurrences = 0 then label
-          else Printf.sprintf "%s#%d" label (occurrences + 1)
-        in
-        let cell =
-          { m_id = id;
-            m_key = key;
-            m_kem = sp.Experiment.sp_kem.Pqc.Kem.name;
-            m_sig = sp.Experiment.sp_sig.Pqc.Sigalg.name;
-            m_scenario = sp.Experiment.sp_scenario.Scenario.name;
-            m_mix = sp.Experiment.sp_mix.Mix.name;
-            m_chain = sp.Experiment.sp_chain.Tls.Chain_profile.name;
-            m_buffering = buffering_name sp.Experiment.sp_buffering;
-            m_standard = is_standard sp;
-            m_data = Result.map (fun o -> data_of_outcome ~id o) result }
-        in
-        t.cells_rev <- cell :: t.cells_rev
+        add
+          (if occurrences = 0 then label
+           else Printf.sprintf "%s#%d" label (occurrences + 1))
       end)
 
-(* farm cells share the dedup and label machinery above: fingerprints
-   never collide across the two kinds (the farm tag differs), and label
-   formats differ, so one [seen] / [labels] pair serves both *)
+let record_cell t (sp : Experiment.spec) result =
+  let id = Experiment.spec_fingerprint sp in
+  record_once t ~id
+    ~label:(Experiment.spec_label sp)
+    (fun key ->
+      let cell =
+        { m_id = id;
+          m_key = key;
+          m_kem = sp.Experiment.sp_kem.Pqc.Kem.name;
+          m_sig = sp.Experiment.sp_sig.Pqc.Sigalg.name;
+          m_scenario = sp.Experiment.sp_scenario.Scenario.name;
+          m_mix = sp.Experiment.sp_mix.Mix.name;
+          m_chain = sp.Experiment.sp_chain.Tls.Chain_profile.name;
+          m_buffering = buffering_name sp.Experiment.sp_buffering;
+          m_standard = is_standard sp;
+          m_data = Result.map (fun o -> data_of_outcome ~id o) result }
+      in
+      t.cells_rev <- cell :: t.cells_rev)
+
 let record_farm_cell t (sp : Experiment.farm_spec) result =
   let id = Experiment.farm_spec_fingerprint sp in
-  locked t (fun () ->
-      if not (Hashtbl.mem t.seen id) then begin
-        Hashtbl.add t.seen id ();
-        let label = Experiment.farm_spec_label sp in
-        let occurrences =
-          Option.value ~default:0 (Hashtbl.find_opt t.labels label)
-        in
-        Hashtbl.replace t.labels label (occurrences + 1);
-        let key =
-          if occurrences = 0 then label
-          else Printf.sprintf "%s#%d" label (occurrences + 1)
-        in
-        let cell =
-          { f_id = id;
-            f_key = key;
-            f_kem = sp.Experiment.fa_kem.Pqc.Kem.name;
-            f_sig = sp.Experiment.fa_sig.Pqc.Sigalg.name;
-            f_scenario = sp.Experiment.fa_scenario.Scenario.name;
-            f_profile = sp.Experiment.fa_profile;
-            f_policy = sp.Experiment.fa_policy;
-            f_utilization = sp.Experiment.fa_utilization;
-            f_adv_fraction = sp.Experiment.fa_adv_fraction;
-            f_mix = sp.Experiment.fa_mix.Mix.name;
-            f_data = Result.map (fun o -> data_of_farm_outcome ~id o) result }
-        in
-        t.farm_cells_rev <- cell :: t.farm_cells_rev
-      end)
+  record_once t ~id
+    ~label:(Experiment.farm_spec_label sp)
+    (fun key ->
+      let cell =
+        { f_id = id;
+          f_key = key;
+          f_kem = sp.Experiment.fa_kem.Pqc.Kem.name;
+          f_sig = sp.Experiment.fa_sig.Pqc.Sigalg.name;
+          f_scenario = sp.Experiment.fa_scenario.Scenario.name;
+          f_profile = sp.Experiment.fa_profile;
+          f_policy = sp.Experiment.fa_policy;
+          f_utilization = sp.Experiment.fa_utilization;
+          f_adv_fraction = sp.Experiment.fa_adv_fraction;
+          f_mix = sp.Experiment.fa_mix.Mix.name;
+          f_data = Result.map (fun o -> data_of_farm_outcome ~id o) result }
+      in
+      t.farm_cells_rev <- cell :: t.farm_cells_rev)
 
 let cell_count t =
   locked t (fun () ->

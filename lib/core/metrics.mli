@@ -185,8 +185,9 @@ val record_farm_cell :
   Experiment.farm_spec ->
   (Experiment.farm_outcome, string) result ->
   unit
-(** Farm-cell counterpart of {!record_cell}: same fingerprint dedup and
-    label disambiguation, recorded by {!Exec.farm_cells} in spec order. *)
+(** Farm-cell counterpart of {!record_cell}, sharing its fingerprint
+    dedup and label disambiguation; recorded by {!Exec.farm_cells} in
+    spec order. *)
 
 val cell_count : t -> int
 (** Recorded cells of both kinds. *)

@@ -7,12 +7,34 @@
    running executable — so a rebuild that changes *any* code invalidates
    everything, which is the only safe default for Marshal-ed payloads.
 
+   An entry is its kind's magic line, the SHA-256 of the payload, then
+   the Marshal-ed payload. Unmarshalling corrupt bytes is undefined
+   behaviour, so the digest is checked first: a torn, flipped or alien
+   file reads as a miss and is overwritten.
+
    Writes go through a unique temp file followed by [Sys.rename], so
    concurrent domains (or concurrent processes sharing a cache
-   directory) never observe a torn entry; a corrupt or alien file is
-   treated as a miss and overwritten. *)
+   directory) never observe a torn entry. *)
 
-let magic = "pqtls-cache-1"
+(* Marshal is untyped, so each cell kind has its own magic and file
+   extension: the outcome types of two kinds sharing a directory can
+   never read each other's files. The ['outcome] parameter is phantom;
+   it ties a kind's reads to the type its writes stored. *)
+type ('spec, 'outcome) kind = {
+  magic : string;
+  ext : string;
+  fingerprint : 'spec -> string;
+}
+
+let standard =
+  { magic = "pqtls-cache-2";
+    ext = ".outcome";
+    fingerprint = Experiment.spec_fingerprint }
+
+let farm =
+  { magic = "pqtls-farm-cache-2";
+    ext = ".farm";
+    fingerprint = Experiment.farm_spec_fingerprint }
 
 type t = {
   dir : string;
@@ -43,87 +65,51 @@ let create ~dir =
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
 
-let key t spec =
+let key_for t kind spec =
   hex
     (Crypto.Sha256.digest
-       (Experiment.spec_fingerprint spec ^ "|code=" ^ t.code_fingerprint))
+       (kind.fingerprint spec ^ "|code=" ^ t.code_fingerprint))
 
-let path t k = Filename.concat t.dir (k ^ ".outcome")
+let path t kind k = Filename.concat t.dir (k ^ kind.ext)
 
-let find t k =
-  let read () =
-    let ic = open_in_bin (path t k) in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let m, (o : Experiment.outcome) = Marshal.from_channel ic in
-        if m <> magic then None else Some o)
+let digest_bytes = 32
+
+let read t kind k =
+  let decode s =
+    let header = kind.magic ^ "\n" in
+    let h = String.length header in
+    let p = h + digest_bytes in
+    if String.length s < p || not (String.starts_with ~prefix:header s) then
+      None
+    else
+      let payload = String.sub s p (String.length s - p) in
+      if Crypto.Sha256.digest payload <> String.sub s h digest_bytes then None
+      else Some (Marshal.from_string payload 0)
   in
-  let r = try read () with Sys_error _ | End_of_file | Failure _ -> None in
-  (match r with
-  | Some _ -> Atomic.incr t.hits
-  | None -> Atomic.incr t.misses);
+  let r =
+    match In_channel.with_open_bin (path t kind k) In_channel.input_all with
+    | s -> decode s
+    | exception Sys_error _ -> None
+  in
+  Atomic.incr (if Option.is_some r then t.hits else t.misses);
   r
 
-let store t k (o : Experiment.outcome) =
-  let final = path t k in
+let write t kind k o =
+  let payload = Marshal.to_string o [] in
+  let final = path t kind k in
   let tmp =
     Printf.sprintf "%s.%d.%d.tmp" final (Unix.getpid ())
       (Domain.self () :> int)
   in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc (magic, o) []);
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (kind.magic ^ "\n");
+      output_string oc (Crypto.Sha256.digest payload);
+      output_string oc payload);
   Sys.rename tmp final
 
-(* farm cells share the directory but use their own magic and extension:
-   Marshal is untyped, so the two outcome types must never be able to
-   read each other's files *)
-let farm_magic = "pqtls-farm-cache-1"
-
-let farm_key t spec =
-  hex
-    (Crypto.Sha256.digest
-       (Experiment.farm_spec_fingerprint spec ^ "|code=" ^ t.code_fingerprint))
-
-let farm_path t k = Filename.concat t.dir (k ^ ".farm")
-
-let find_farm t k =
-  let read () =
-    let ic = open_in_bin (farm_path t k) in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let m, (o : Experiment.farm_outcome) = Marshal.from_channel ic in
-        if m <> farm_magic then None else Some o)
-  in
-  let r = try read () with Sys_error _ | End_of_file | Failure _ -> None in
-  (match r with
-  | Some _ -> Atomic.incr t.hits
-  | None -> Atomic.incr t.misses);
-  r
-
-let store_farm t k (o : Experiment.farm_outcome) =
-  let final = farm_path t k in
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" final (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc (farm_magic, o) []);
-  Sys.rename tmp final
-
-let find_or_run t spec f =
-  let k = key t spec in
-  match find t k with
-  | Some o -> (o, `Hit)
-  | None ->
-    let o = f () in
-    store t k o;
-    (o, `Miss)
+let key t spec = key_for t standard spec
+let find t k : Experiment.outcome option = read t standard k
+let store t k (o : Experiment.outcome) = write t standard k o
 
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses

@@ -242,6 +242,49 @@ let test_cache_kinds_isolated () =
     (Result.is_ok r1 && r1 = r2 && r2 = r3
     && List.for_all Result.is_ok fr1 && fr1 = fr2 && fr2 = fr3)
 
+(* one flipped bit anywhere in an entry — magic, digest or payload, of
+   either kind — must read as a miss and re-execute the cell: nothing
+   corrupt is ever unmarshalled, and the artifact does not move *)
+let test_cache_bit_flip_is_miss () =
+  let dir = temp_cache_dir () in
+  let seed = "pool-bitflip" in
+  let spec = List.hd (subgrid seed) and fspec = List.hd (farm_grid seed) in
+  let run () =
+    let exec = Exec.create ~jobs:1 ~cache_dir:dir () in
+    let r = Exec.cell exec spec and fr = Exec.farm_cells exec [ fspec ] in
+    let c = Option.get exec.Exec.cache in
+    Alcotest.(check bool) "cells ok" true
+      (Result.is_ok r && List.for_all Result.is_ok fr);
+    ((Result_cache.hits c, Result_cache.misses c), artifact ~seed exec)
+  in
+  let _, clean = run () in
+  let entries =
+    List.map
+      (fun f ->
+        let f = Filename.concat dir f in
+        (f, In_channel.with_open_bin f In_channel.input_all))
+      (files_with ".outcome" dir @ files_with ".farm" dir)
+  in
+  Alcotest.(check int) "one entry per kind" 2 (List.length entries);
+  let write f s = Out_channel.with_open_bin f (fun oc -> output_string oc s) in
+  List.iter
+    (fun (f, bytes) ->
+      let n = String.length bytes in
+      List.iteri
+        (fun i off ->
+          let b = Bytes.of_string bytes in
+          Bytes.set b off
+            (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl (i mod 8))));
+          write f (Bytes.to_string b);
+          let where = Printf.sprintf "%s @%d" (Filename.extension f) off in
+          let counts, a = run () in
+          Alcotest.(check (pair int int)) (where ^ ": a miss") (1, 1) counts;
+          Alcotest.(check string) (where ^ ": artifact unchanged") clean a;
+          Alcotest.(check string) (where ^ ": entry rewritten") bytes
+            (In_channel.with_open_bin f In_channel.input_all))
+        [ 0; 13; 20; 40; n / 3; n / 2; (2 * n) / 3; n - 1 ])
+    entries
+
 let test_catalog_aliases () =
   Alcotest.(check string) "table2a resolves" "all-kem"
     (Catalog.resolve "table2a");
@@ -271,4 +314,6 @@ let suites =
           test_farm_cache_roundtrip;
         Alcotest.test_case "standard and farm entries never cross" `Slow
           test_cache_kinds_isolated;
+        Alcotest.test_case "bit flip in an entry is a miss" `Slow
+          test_cache_bit_flip_is_miss;
         Alcotest.test_case "catalog aliases" `Quick test_catalog_aliases ] ) ]
