@@ -1,6 +1,6 @@
 (* pqtls-lint — the determinism & constant-time analysis gate.
 
-     pqtls-lint check                 # lib bin bench test, text report
+     pqtls-lint check                 # lib bin test, text report
      pqtls-lint check lib/crypto --rule C1
      pqtls-lint check --format json   # CI artifact
      pqtls-lint check --format sarif  # GitHub code scanning
@@ -12,12 +12,10 @@
 
 open Cmdliner
 
-let default_paths = [ "lib"; "bin"; "bench"; "test" ]
+let default_paths = [ "lib"; "bin"; "test" ]
 
 let paths_arg =
-  let doc =
-    "Files or directories to check (default: lib bin bench test)."
-  in
+  let doc = "Files or directories to check (default: lib bin test)." in
   Arg.(value & pos_all string default_paths & info [] ~docv:"PATH" ~doc)
 
 let format_arg =

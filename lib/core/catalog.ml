@@ -92,6 +92,13 @@ let all_sphincs_report ?seed ?(exec = Exec.sequential) () =
   | [] -> ());
   Buffer.contents b
 
+(* several renderings in order, as one report *)
+let concat runs ?seed ?exec () =
+  String.concat "" (List.map (fun run -> run ?seed ?exec ()) runs)
+
+let ablation =
+  concat [ Report.ablation_buffer; Report.ablation_cwnd; Report.ablation_hrr ]
+
 let entries :
     (string * string * (?seed:string -> ?exec:Exec.t -> unit -> string)) list =
   [ ("all-kem", "Table 2a campaign: every KA with rsa:2048",
@@ -150,7 +157,22 @@ let entries :
     ("ablation-cwnd", "initial congestion-window sweep",
      fun ?seed ?exec () -> Report.ablation_cwnd ?seed ?exec ());
     ("ablation-hrr", "HelloRetryRequest (wrong key-share) fallback cost",
-     fun ?seed ?exec () -> Report.ablation_hrr ?seed ?exec ()) ]
+     fun ?seed ?exec () -> Report.ablation_hrr ?seed ?exec ());
+    ("figure3", "Figure 3: deviation from the additive latency prediction, \
+                 default vs optimized buffering, levels 1/3/5",
+     fun ?seed ?exec () -> Report.figure3 ?seed ?exec ());
+    ("table3", "Table 3: white-box handshake rates, CPU and library shares",
+     fun ?seed ?exec () -> Report.table3 ?seed ?exec ());
+    ("figure4", "Figure 4: KAs and SAs ranked by log-scaled latency",
+     fun ?seed ?exec () -> Report.figure4 ?seed ?exec ());
+    ("ablation", "the buffer-limit, initial-cwnd and HRR ablations, in turn",
+     ablation);
+    ("paper", "every table and figure of the evaluation, in paper order \
+               (2a, 2b, figure 3, 3, 4a, 4b, figure 4, attack, ablation)",
+     concat
+       [ Report.table2a; Report.table2b; Report.figure3; Report.table3;
+         Report.table4a; Report.table4b; Report.figure4; Report.attack;
+         ablation ]) ]
 
 (* paper-table spellings accepted as synonyms (the CI smoke job and the
    bench targets use these) *)

@@ -5,7 +5,10 @@
 val names : string list
 (** [all-kem], [all-sig], [level1|3|5], [level1|3|5-nopush],
     [level1|3|5-perf], [all-kem-scenarios], [all-sig-scenarios],
-    [attack], [ablation-buffer], [ablation-cwnd]. *)
+    [attack], [farm], [mixes], [chains] (and their [-smoke] sizes),
+    [ablation-buffer], [ablation-cwnd], [ablation-hrr], the paper's
+    [figure3], [table3] and [figure4], [ablation] (all three ablations)
+    and [paper], which renders every table and figure in paper order. *)
 
 val aliases : (string * string) list
 (** Paper-table spellings accepted everywhere a name is:

@@ -68,8 +68,11 @@ let component_est ~kind name =
       if kind = "sign" then 370. else if kind = "verify" then 5. else 0.1
   | "keccak-f1600" | "aes256-block" -> 0.002
   | "aes128-gcm-seal-1k" -> 0.05
-  | "kyber-ntt" | "dilithium-ntt" | "sha256-1k" -> 0.01
+  | "kyber-ntt" | "dilithium-ntt" | "sha256-1k" | "sha3-256-1k"
+  | "shake128-1k" | "hmac-sha256-1k" -> 0.01
   | "hkdf-sha256" -> 0.02
+  | "chacha20poly1305-seal-1k" -> 0.02
+  | "mocked-handshake" -> 0.8
   | _ -> 1.
 
 (* Hybrids run both components, so their estimate is the sum; the split
@@ -189,7 +192,44 @@ let kernel_ops () =
     kernel "aes128-gcm-seal-1k" (fun () ->
         let k = Crypto.Aes_gcm.of_secret (String.init 16 Char.chr) in
         let nonce = String.make 12 '\001' and m = String.make 1024 '\042' in
-        fun () -> ignore (Crypto.Aes_gcm.seal k ~nonce ~ad:"" m : string)) ]
+        fun () -> ignore (Crypto.Aes_gcm.seal k ~nonce ~ad:"" m : string));
+    kernel "sha3-256-1k" (fun () ->
+        let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
+        fun () -> ignore (Crypto.Keccak.sha3_256 m : string));
+    kernel "shake128-1k" (fun () ->
+        let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
+        fun () -> ignore (Crypto.Keccak.shake128 m 32 : string));
+    kernel "hmac-sha256-1k" (fun () ->
+        let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
+        fun () ->
+          ignore (Crypto.Hmac.hmac Crypto.Hmac.sha256 ~key:"k" m : string));
+    kernel "chacha20poly1305-seal-1k" (fun () ->
+        let key = String.init 32 Char.chr in
+        let nonce = String.make 12 '\001' and m = String.make 1024 '\042' in
+        fun () ->
+          ignore (Crypto.Chacha20poly1305.seal ~key ~nonce ~ad:"" m : string));
+    (* one whole kyber768 x dilithium3 handshake on mocked crypto over an
+       ideal link: the TLS engine, netsim and mocks end to end *)
+    kernel "mocked-handshake" (fun () ->
+        let config =
+          Tls.Config.mocked (Pqc.Registry.find_kem "kyber768")
+            (Pqc.Registry.find_sig "dilithium3")
+        in
+        fun () ->
+          let engine = Netsim.Engine.create () in
+          let rng = Crypto.Drbg.create ~seed:"profile/mocked-handshake" in
+          let link =
+            Netsim.Link.create engine (Crypto.Drbg.fork rng "l")
+              Netsim.Link.ideal ~tap:(fun _ _ -> ())
+          in
+          let done_ = ref false in
+          Tls.Handshake.run ~engine ~link
+            ~tcp_config:Netsim.Tcp.default_config
+            ~client_host:(Netsim.Host.create engine ~name:"client")
+            ~server_host:(Netsim.Host.create engine ~name:"server")
+            ~config ~rng ~on_done:(fun _ -> done_ := true) ();
+          Netsim.Engine.run engine;
+          if not !done_ then failwith "mocked handshake did not complete") ]
 
 let registry () =
   List.concat_map ka_ops Pqc.Registry.kems
@@ -482,14 +522,14 @@ let render_table a =
     Printf.sprintf "Profile: %d ops (seed %s)" (List.length a.pa_ops) a.pa_seed
   in
   let header =
-    Printf.sprintf "%-28s  %10s  %10s  %10s  %10s  %12s" "op" "iters"
+    Printf.sprintf "%-31s  %10s  %10s  %10s  %10s  %12s" "op" "iters"
       "p50 ms" "p95 ms" "ci95 ms" "minor w/op"
   in
   let rows =
     List.map
       (fun m ->
         let d = m.p_time in
-        Printf.sprintf "%-28s  %6dx%-3d  %10.4f  %10.4f  %10.4f  %12.0f"
+        Printf.sprintf "%-31s  %6dx%-3d  %10.4f  %10.4f  %10.4f  %12.0f"
           m.p_op.op_name m.p_op.op_samples m.p_op.op_batch d.Metrics.d_p50
           d.Metrics.d_p95
           (d.Metrics.d_ci_hi -. d.Metrics.d_ci_lo)

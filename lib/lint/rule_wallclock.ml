@@ -6,7 +6,7 @@ let banned =
     "Random.State.make_self_init" ]
 
 (* The quarantined clock itself ({!Core.Clock}) is legal in the harness
-   layers — core, bin, bench, test — where it feeds telemetry and the
+   layers — core, bin, test — where it feeds telemetry and the
    profiling artifact, but banned inside the simulation stack, which
    must stay a pure function of spec and seed. *)
 let clock_reads =
@@ -44,7 +44,7 @@ let check sources =
               diag ~symbol e
                 (path
                ^ " reads host time inside the simulation stack; only the \
-                  harness layers (lib/core, bin, bench, test) may observe \
+                  harness layers (lib/core, bin, test) may observe \
                   the quarantined clock")
             | _ -> ());
         !out)

@@ -35,7 +35,7 @@ let test_d1 () =
 
 (* the second half of D1: the quarantined Core.Clock is itself banned in
    the deterministic simulation layers, while the harness layers (core,
-   bin, bench, test) may observe it freely *)
+   bin, test) may observe it freely *)
 let test_d1_clock_scope () =
   let read = "let stamp () = Clock.now_s ()" in
   Alcotest.(check (list string)) "clock read in lib/netsim fires" [ "D1" ]
@@ -390,7 +390,7 @@ let test_repo_clean () =
   | None -> print_endline "no checkout found; skipping repo-wide lint"
   | Some root ->
     let paths =
-      List.map (Filename.concat root) [ "lib"; "bin"; "bench"; "test" ]
+      List.map (Filename.concat root) [ "lib"; "bin"; "test" ]
     in
     let sources, errors = Lint.Source.load_paths paths in
     Alcotest.(check (list (pair string string))) "everything parses" []

@@ -294,6 +294,22 @@ let test_catalog_aliases () =
     (Catalog.describe "all-kem")
     (Catalog.describe "table2a")
 
+(* the paper's remaining artifacts and the [paper] umbrella are catalog
+   entries like any other: listed (so [list --json] shows them),
+   described, and resolved to themselves *)
+let test_catalog_paper_targets () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (n ^ " listed") true (List.mem n Catalog.names);
+      Alcotest.(check string) (n ^ " resolves to itself") n (Catalog.resolve n);
+      Alcotest.(check bool) (n ^ " described") true (Catalog.describe n <> ""))
+    [ "figure3"; "table3"; "figure4"; "ablation"; "paper" ];
+  let exec = Exec.create ~jobs:2 () in
+  let part n = Catalog.run ~seed:"pool-ablation" ~exec n in
+  Alcotest.(check string) "ablation = buffer, then cwnd, then hrr"
+    (part "ablation-buffer" ^ part "ablation-cwnd" ^ part "ablation-hrr")
+    (part "ablation")
+
 let suites =
   [ ( "pool",
       [ Alcotest.test_case "pool map = List.map" `Quick test_pool_matches_map;
@@ -316,4 +332,6 @@ let suites =
           test_cache_kinds_isolated;
         Alcotest.test_case "bit flip in an entry is a miss" `Slow
           test_cache_bit_flip_is_miss;
-        Alcotest.test_case "catalog aliases" `Quick test_catalog_aliases ] ) ]
+        Alcotest.test_case "catalog aliases" `Quick test_catalog_aliases;
+        Alcotest.test_case "catalog paper targets" `Slow
+          test_catalog_paper_targets ] ) ]

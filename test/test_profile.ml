@@ -42,6 +42,12 @@ let test_registry_coverage () =
   Alcotest.(check bool) "at least 3 substrate kernels" true
     (List.length kernels >= 3);
   List.iter
+    (fun alg ->
+      let n = "kernel " ^ alg in
+      Alcotest.(check bool) (n ^ " present") true (List.mem n names))
+    [ "sha3-256-1k"; "shake128-1k"; "hmac-sha256-1k";
+      "chacha20poly1305-seal-1k"; "mocked-handshake" ];
+  List.iter
     (fun o ->
       Alcotest.(check bool)
         (o.Profile.op_name ^ " has a sane plan")
