@@ -115,15 +115,14 @@ let run_cell ?trace t kind spec =
   (* volatile telemetry only (ce_elapsed_s, cell_wall_s): host time never
      reaches a deterministic artifact, see Clock *)
   let t0 = Clock.now_s () in
-  let label = kind.label spec in
   let rec attempt k =
     (* a retried attempt restarts the cell from scratch, so its trace
        does too — only the completing attempt's events survive *)
     Option.iter Trace.Buf.clear trace;
     match
       (match t.fail_cell with
-      | Some needle when contains ~needle label ->
-        failwith ("injected failure for " ^ label)
+      | Some needle when contains ~needle (kind.label spec) ->
+        failwith ("injected failure for " ^ kind.label spec)
       | _ -> ());
       kind.run ?trace (if k = 0 then spec else kind.retry spec k)
     with
@@ -174,7 +173,9 @@ let grid t kind specs =
           let r = run_cell ?trace t kind spec in
           (* failures are never cached: the next run re-executes the cell
              instead of replaying the error *)
-          (match r with Ok o -> Result_cache.write c kind.entry k o | Error _ -> ());
+          (match r with
+          | Ok o -> Result_cache.write c kind.entry k o
+          | Error _ -> ());
           (r, `Miss))
     in
     (* self-telemetry: volatile (host wall clock, scheduling-dependent),
