@@ -174,8 +174,8 @@ let entries :
          Report.table4a; Report.table4b; Report.figure4; Report.attack;
          ablation ]) ]
 
-(* paper-table spellings accepted as synonyms (the CI smoke job and the
-   bench targets use these) *)
+(* paper-table spellings accepted as synonyms (the CI smoke jobs use
+   these) *)
 let aliases =
   [ ("table2a", "all-kem");
     ("table2b", "all-sig");

@@ -41,21 +41,23 @@ type t = {
   retries : int;  (** extra attempts granted to a failing cell *)
   fail_cell : string option;
       (** fault injection for tests/CI: any cell whose
-          {!Experiment.spec_label} contains this substring raises on
-          every attempt. Defaults from [PQTLS_FAIL_CELL]. *)
+          {!Experiment.spec_label} (for farm cells,
+          {!Experiment.farm_spec_label}) contains this substring raises
+          on every attempt. Defaults from [PQTLS_FAIL_CELL]. *)
   counters : counters;
   trace : Trace.Store.t option;
-      (** when set, every executed cell records its trace into a
-          per-cell buffer; buffers are merged into the store in spec
-          order after each {!cells} call, bit-identical whatever
+      (** when set, every executed single-pair cell records its trace
+          into a per-cell buffer; buffers are merged into the store in
+          spec order after each {!cells} call, bit-identical whatever
           [jobs]. Cache hits contribute empty labelled buffers. *)
   metrics : Metrics.t;
       (** always-on observability: per-cell distribution summaries
-          recorded in spec order after each {!cells} call (deduplicated
-          on the spec fingerprint, so the artifact is bit-identical
-          whatever [jobs]), plus volatile self-telemetry — the
-          [cells_executed] / [cells_from_cache] counters and the
-          [cell_wall_s] series feeding {!health_summary}. *)
+          recorded in spec order after each {!cells} or {!farm_cells}
+          call (deduplicated on the spec fingerprint, so the artifact
+          is bit-identical whatever [jobs]), plus volatile
+          self-telemetry — the [cells_executed] / [cells_from_cache]
+          counters and the [cell_wall_s] series feeding
+          {!health_summary}. *)
 }
 
 val sequential : t

@@ -173,6 +173,7 @@ let sa_ops (s : Pqc.Sigalg.t) =
 
 let kernel_ops () =
   let kernel alg prepare = make_op ~group:Kernel ~alg ~kind:"kernel" ~hybrid:false prepare in
+  let kib = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
   [ kernel "keccak-f1600" (fun () -> Crypto.Keccak.bench_permutation ());
     kernel "kyber-ntt" (fun () -> Pqc.Kyber.bench_ntt ());
     kernel "dilithium-ntt" (fun () -> Pqc.Dilithium.bench_ntt ());
@@ -182,9 +183,8 @@ let kernel_ops () =
           let prk = Crypto.Hkdf.extract Crypto.Hmac.sha256 ~salt ~ikm in
           ignore (Crypto.Hkdf.expand Crypto.Hmac.sha256 ~prk ~info:"profile" 32
                   : string));
-    kernel "sha256-1k" (fun () ->
-        let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
-        fun () -> ignore (Crypto.Sha256.digest m : string));
+    kernel "sha256-1k" (fun () () ->
+        ignore (Crypto.Sha256.digest kib : string));
     kernel "aes256-block" (fun () ->
         let k = Crypto.Aes.expand_key (String.init 32 Char.chr) in
         let b = String.make 16 '\xa5' in
@@ -193,16 +193,12 @@ let kernel_ops () =
         let k = Crypto.Aes_gcm.of_secret (String.init 16 Char.chr) in
         let nonce = String.make 12 '\001' and m = String.make 1024 '\042' in
         fun () -> ignore (Crypto.Aes_gcm.seal k ~nonce ~ad:"" m : string));
-    kernel "sha3-256-1k" (fun () ->
-        let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
-        fun () -> ignore (Crypto.Keccak.sha3_256 m : string));
-    kernel "shake128-1k" (fun () ->
-        let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
-        fun () -> ignore (Crypto.Keccak.shake128 m 32 : string));
-    kernel "hmac-sha256-1k" (fun () ->
-        let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
-        fun () ->
-          ignore (Crypto.Hmac.hmac Crypto.Hmac.sha256 ~key:"k" m : string));
+    kernel "sha3-256-1k" (fun () () ->
+        ignore (Crypto.Keccak.sha3_256 kib : string));
+    kernel "shake128-1k" (fun () () ->
+        ignore (Crypto.Keccak.shake128 kib 32 : string));
+    kernel "hmac-sha256-1k" (fun () () ->
+        ignore (Crypto.Hmac.hmac Crypto.Hmac.sha256 ~key:"k" kib : string));
     kernel "chacha20poly1305-seal-1k" (fun () ->
         let key = String.init 32 Char.chr in
         let nonce = String.make 12 '\001' and m = String.make 1024 '\042' in
