@@ -4,7 +4,9 @@
    tests, which a CTR counter starting at the wrong offset would still
    pass (both sides read the same wrong stream); these digests pin the
    bytes themselves, so any rewrite of Keccak, AES or the CTR stream
-   must reproduce them exactly. *)
+   must reproduce them exactly. The metrics-artifact pins do the same
+   for the [--metrics] JSON encoder: one grid reaching every branch of
+   the cell encoders, digested byte for byte. *)
 
 open Pqc
 
@@ -33,6 +35,43 @@ let mocked_kem name () =
   let kp = k.keygen rng in
   let ct, ss = k.encaps rng kp.public in
   [ ("keygen", digest [ kp.public; kp.secret ]); ("encaps", digest [ ct; ss ]) ]
+
+(* every encoder branch: a full standard cell, a failed cell, a label
+   clash ([#2] key), a mix cell whose resumed population is empty (one
+   sample: only the always-full first iteration runs), a non-default
+   chain, and farm cells (adversarial, failed). The first digest is the
+   artifact before any farm cell is recorded, which has no [farm_cells]
+   key. *)
+let metrics_artifact () =
+  let open Core in
+  let kem = Registry.find_kem and sa = Registry.find_sig in
+  let seed = "pins/metrics" in
+  let m = Metrics.create () in
+  Metrics.note_experiment m "pins";
+  let record sp = Metrics.record_cell m sp (Ok (Experiment.run_spec sp)) in
+  record (Experiment.spec ~seed (kem "x25519") (sa "rsa:2048"));
+  Metrics.record_cell m
+    (Experiment.spec ~seed (kem "kyber512") (sa "dilithium2"))
+    (Error "pinned failure");
+  record
+    (Experiment.spec ~seed ~buffer_limit:8192 (kem "x25519") (sa "rsa:2048"));
+  record
+    (Experiment.spec ~seed ~max_samples:1 ~mix:(Mix.find "resumed90")
+       (kem "kyber768") (sa "dilithium3"));
+  record
+    (Experiment.spec ~seed ~max_samples:3
+       ~chain:(Tls.Chain_profile.find "mixed-acme")
+       (kem "kyber768") (sa "dilithium3"));
+  let standard = Metrics.to_json_string (Metrics.artifact m ~seed) in
+  let farm = Experiment.farm_spec ~seed ~max_connections:60 in
+  let sp = farm ~adv_fraction:0.25 (kem "kyber768") (sa "dilithium3") in
+  Metrics.record_farm_cell m sp (Ok (Experiment.run_farm_spec sp));
+  Metrics.record_farm_cell m
+    (farm (kem "x25519") (sa "rsa:2048"))
+    (Error "pinned farm failure");
+  [ ("standard cells", digest [ standard ]);
+    ("with farm cells",
+     digest [ Metrics.to_json_string (Metrics.artifact m ~seed) ]) ]
 
 let pins =
   [ ("kyber90s768", kyber Kyber.kyber768_90s,
@@ -64,7 +103,12 @@ let pins =
      [ ("keygen",
        "eff8db3e4d7359eb47363e319fb9771dc3633968abeb3deb727f590ba35d9200");
        ("encaps",
-       "95475d252b16679500460de4efd22f946b15a82c6fca194f85b520b9797ae502") ]) ]
+       "95475d252b16679500460de4efd22f946b15a82c6fca194f85b520b9797ae502") ]);
+    ("metrics artifact", metrics_artifact,
+     [ ("standard cells",
+       "73815829bf00d44e06001fc52d20615e75ecdf8481c232b98ebbb371edd9d66a");
+       ("with farm cells",
+       "c8a5fd7404faa40434749ce36cd2fa99a65e9988555adb6b40de66cf0b64cbc4") ]) ]
 
 let suites =
   [ ( "pins",
