@@ -333,8 +333,7 @@ let run_cmd =
       close_out oc;
       (* the notice goes to stderr: stdout stays bit-identical *)
       Printf.eprintf "wrote %s (%d cells)\n%!" path
-        (List.length artifact.Core.Metrics.a_cells
-        + List.length artifact.Core.Metrics.a_farm_cells));
+        (Core.Metrics.cell_count exec.Core.Exec.metrics));
     (* the health summary goes to stderr: stdout stays bit-identical
        across --jobs and runs *)
     let failed = Core.Exec.failed_count exec in
@@ -355,6 +354,20 @@ let run_cmd =
       $ experiments)
 
 (* ---- compare --------------------------------------------------------------- *)
+
+(* read and parse one artifact for [compare]/[compare-profile]: an
+   unreadable file (a directory, a permission error) or a parse error
+   is reported as "error: PATH: ..." with exit status 2 *)
+let load_artifact parse path =
+  let contents =
+    try Ok (In_channel.with_open_bin path In_channel.input_all)
+    with Sys_error e -> Error e
+  in
+  match Result.bind contents parse with
+  | Ok a -> a
+  | Error e ->
+    Printf.eprintf "error: %s: %s\n" path e;
+    exit 2
 
 let compare_cmd =
   let files =
@@ -378,16 +391,7 @@ let compare_cmd =
     Arg.(value & opt float 0. & info [ "rel-tol" ] ~docv:"FRACTION" ~doc)
   in
   let run against_paper rel_tol files =
-    let load path =
-      let ic = open_in_bin path in
-      let contents = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Core.Metrics.of_json_string contents with
-      | Ok a -> a
-      | Error e ->
-        Printf.eprintf "error: %s: %s\n" path e;
-        exit 2
-    in
+    let load = load_artifact Core.Metrics.of_json_string in
     let show path issues ok_line =
       if issues = [] then print_endline ok_line
       else begin
@@ -733,16 +737,7 @@ let compare_profile_cmd =
     Arg.(value & opt float 0.25 & info [ "rel-tol" ] ~docv:"FRACTION" ~doc)
   in
   let run rel_tol files =
-    let load path =
-      let ic = open_in_bin path in
-      let contents = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Core.Profile.of_json_string contents with
-      | Ok a -> a
-      | Error e ->
-        Printf.eprintf "error: %s: %s\n" path e;
-        exit 2
-    in
+    let load = load_artifact Core.Profile.of_json_string in
     match files with
     | [ base; cand ] ->
       let b = load base in

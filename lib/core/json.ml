@@ -271,3 +271,16 @@ let to_str = function Some (String s) -> Some s | _ -> None
 let to_bool = function Some (Bool b) -> Some b | _ -> None
 let to_list = function Some (List xs) -> Some xs | _ -> None
 let to_obj = function Some (Obj fields) -> Some fields | _ -> None
+
+(* ---- schema readers ------------------------------------------------------ *)
+
+let req doc what = function
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing or ill-typed %s" doc what)
+
+let rec map_req f = function
+  | [] -> Ok []
+  | x :: rest -> (
+    match f x with
+    | Error _ as e -> e
+    | Ok y -> Result.map (fun ys -> y :: ys) (map_req f rest))

@@ -38,3 +38,13 @@ val to_str : t option -> string option
 val to_bool : t option -> bool option
 val to_list : t option -> t list option
 val to_obj : t option -> (string * t) list option
+
+(** {1 Schema readers} — shared by the artifact parsers. *)
+
+val req : string -> string -> 'a option -> ('a, string) result
+(** [req doc what v] is [Ok x] for [v = Some x], else
+    [Error "DOC: missing or ill-typed WHAT"]. *)
+
+val map_req :
+  ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** [List.map] over a fallible reader, stopping at the first error. *)

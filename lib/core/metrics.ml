@@ -51,115 +51,39 @@ let dist ~seed xs =
       d_ci_hi = ci_hi }
   | _ -> assert false
 
-(* ---- per-cell data ------------------------------------------------------- *)
+(* ---- the cell encoders ---------------------------------------------------- *)
 
-(* per-population split of a mixed-workload cell: the full-handshake and
-   resumed-handshake sub-distributions behind Table 6. [None] dists mean
-   the coin never produced that population within the sample budget. *)
-type resumption = {
-  rs_resumed_n : int;
-  rs_full_n : int;
-  rs_early_data_bytes : int;  (* 0-RTT bytes accepted, summed *)
-  rs_resumed_total : dist option;  (* ms, CH -> client Finished *)
-  rs_full_total : dist option;
-  rs_resumed_server_bytes : dist option;
-  rs_full_server_bytes : dist option;
-}
+(* Each cell kind is encoded straight from its outcome: this section is
+   the artifact schema. Every bootstrap reseeds from [id ^ "/" ^ name],
+   so a cell's JSON is a pure function of its spec and outcome. *)
 
-type cell_data = {
-  cd_handshakes_per_minute : int;
-  cd_part_a : dist;
-  cd_part_b : dist;
-  cd_total : dist;
-  cd_iteration : dist;
-  cd_client_bytes : dist;
-  cd_server_bytes : dist;
-  cd_client_pkts : dist;
-  cd_server_pkts : dist;
-  cd_retransmissions : int;
-  cd_fast_retx : int;
-  cd_timeout_retx : int;
-  cd_rtt_samples : int;
-  cd_client_cpu_ms : float;
-  cd_server_cpu_ms : float;
-  cd_client_cpu_charges : int;
-  cd_server_cpu_charges : int;
-  cd_client_ledger : (string * float) list;
-  cd_server_ledger : (string * float) list;
-  cd_resumption : resumption option;  (* Some iff the mix is not full *)
-  cd_chain_levels : (string * string * int * float) list;
-      (* per-level placement breakdown; serialized iff the chain profile
-         is not the default *)
-}
+let json_of_dist d =
+  Json.Obj
+    [ ("n", Json.Int d.d_n);
+      ("mean", Json.Float d.d_mean);
+      ("stddev", Json.Float d.d_stddev);
+      ("p5", Json.Float d.d_p5);
+      ("p25", Json.Float d.d_p25);
+      ("p50", Json.Float d.d_p50);
+      ("p75", Json.Float d.d_p75);
+      ("p95", Json.Float d.d_p95);
+      ("p99", Json.Float d.d_p99);
+      ("ci95_lo", Json.Float d.d_ci_lo);
+      ("ci95_hi", Json.Float d.d_ci_hi) ]
 
-type cell = {
-  m_id : string;
-  m_key : string;
-  m_kem : string;
-  m_sig : string;
-  m_scenario : string;
-  m_mix : string;
-  m_chain : string;
-  m_buffering : string;
-  m_standard : bool;
-  m_data : (cell_data, string) result;
-}
+let dist_json ~id name xs = json_of_dist (dist ~seed:(id ^ "/" ^ name) xs)
 
-let data_of_outcome ~id (o : Experiment.outcome) =
-  let samples = o.Experiment.samples in
-  let d name f =
-    dist ~seed:(id ^ "/" ^ name) (List.map f samples)
-  in
-  let di name f = d name (fun s -> float_of_int (f s)) in
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 samples in
-  let resumption =
-    if o.Experiment.mix_name = "full" then None
-    else begin
-      let resumed, full =
-        List.partition (fun s -> s.Experiment.resumed) samples
-      in
-      let sub name subset f =
-        match subset with
-        | [] -> None
-        | _ -> Some (dist ~seed:(id ^ "/" ^ name) (List.map f subset))
-      in
-      Some
-        { rs_resumed_n = List.length resumed;
-          rs_full_n = List.length full;
-          rs_early_data_bytes = sum (fun s -> s.Experiment.early_data_bytes);
-          rs_resumed_total =
-            sub "resumed_total" resumed (fun s -> s.Experiment.total_ms);
-          rs_full_total =
-            sub "full_total" full (fun s -> s.Experiment.total_ms);
-          rs_resumed_server_bytes =
-            sub "resumed_server_bytes" resumed (fun s ->
-                float_of_int s.Experiment.server_bytes);
-          rs_full_server_bytes =
-            sub "full_server_bytes" full (fun s ->
-                float_of_int s.Experiment.server_bytes) }
-    end
-  in
-  { cd_handshakes_per_minute = o.Experiment.handshakes_per_minute;
-    cd_part_a = d "part_a" (fun s -> s.Experiment.part_a_ms);
-    cd_part_b = d "part_b" (fun s -> s.Experiment.part_b_ms);
-    cd_total = d "total" (fun s -> s.Experiment.total_ms);
-    cd_iteration = d "iteration" (fun s -> s.Experiment.iteration_ms);
-    cd_client_bytes = di "client_bytes" (fun s -> s.Experiment.client_bytes);
-    cd_server_bytes = di "server_bytes" (fun s -> s.Experiment.server_bytes);
-    cd_client_pkts = di "client_pkts" (fun s -> s.Experiment.client_pkts);
-    cd_server_pkts = di "server_pkts" (fun s -> s.Experiment.server_pkts);
-    cd_retransmissions = sum (fun s -> s.Experiment.retransmissions);
-    cd_fast_retx = sum (fun s -> s.Experiment.fast_retransmissions);
-    cd_timeout_retx = sum (fun s -> s.Experiment.timeout_retransmissions);
-    cd_rtt_samples = sum (fun s -> s.Experiment.rtt_samples);
-    cd_client_cpu_ms = o.Experiment.client_cpu_ms;
-    cd_server_cpu_ms = o.Experiment.server_cpu_ms;
-    cd_client_cpu_charges = o.Experiment.client_cpu_charges;
-    cd_server_cpu_charges = o.Experiment.server_cpu_charges;
-    cd_client_ledger = o.Experiment.client_ledger;
-    cd_server_ledger = o.Experiment.server_ledger;
-    cd_resumption = resumption;
-    cd_chain_levels = o.Experiment.chain_levels }
+let json_of_ledger l =
+  Json.Obj (List.map (fun (lib, share) -> (lib, Json.Float share)) l)
+
+(* identity keys, then either the failure or the data block *)
+let cell_json identity result data =
+  Json.Obj
+    (identity
+    @
+    match result with
+    | Error msg -> [ ("error", Json.String msg); ("data", Json.Null) ]
+    | Ok o -> [ ("data", Json.Obj (data o)) ])
 
 let buffering_name = function
   | Tls.Config.Optimized_push -> "push"
@@ -181,84 +105,163 @@ let is_standard (sp : Experiment.spec) =
     (Experiment.spec_fingerprint rebuilt)
     (Experiment.spec_fingerprint sp)
 
-(* ---- per-farm-cell data --------------------------------------------------- *)
-
-type farm_cell_data = {
-  fd_capacity_hs_s : float;
-  fd_offered_rate : float;
-  fd_window_s : float;
-  fd_offered : int;
-  fd_completed : int;
-  fd_dropped : int;
-  fd_unfinished : int;
-  fd_latency : dist;
-  fd_latency_p999 : float;
-  fd_p99_ci_lo : float;
-  fd_p99_ci_hi : float;
-  fd_wait : dist;
-  fd_server_cpu_ms : float;
-  fd_server_busy : float;
-  fd_server_ledger : (string * float) list;
-  fd_per_server_completed : int list;
-  fd_adv_launched : int;
-  fd_adv_completed : int;
-  fd_adv_client_bytes : int;
-  fd_adv_server_bytes : int;
-  fd_benign_client_bytes : int;
-  fd_benign_server_bytes : int;
-  fd_cal_client_cpu_ms : float;
-  fd_cal_server_cpu_ms : float;
-  fd_cal_adv_server_cpu_ms : float;
-  fd_resumed_completed : int;
-  fd_early_data_bytes : int;
-}
-
-type farm_cell = {
-  f_id : string;
-  f_key : string;
-  f_kem : string;
-  f_sig : string;
-  f_scenario : string;
-  f_profile : string;
-  f_policy : string;
-  f_utilization : float;
-  f_adv_fraction : float;
-  f_mix : string;
-  f_data : (farm_cell_data, string) result;
-}
-
-let data_of_farm_outcome ~id (o : Experiment.farm_outcome) =
-  let lat = o.Experiment.fo_latencies_ms in
-  let p99_lo, p99_hi =
-    Stats.bootstrap_ci ~seed:(id ^ "/p99") (Stats.percentile 0.99) lat
+(* the per-population split of a mixed-workload cell (Table 6): a null
+   dist means the mix's coin never produced that population within the
+   sample budget *)
+let resumption_json ~id samples =
+  let resumed, full = List.partition (fun s -> s.Experiment.resumed) samples in
+  let sub name subset f =
+    match subset with
+    | [] -> Json.Null
+    | _ -> dist_json ~id name (List.map f subset)
   in
-  { fd_capacity_hs_s = o.Experiment.fo_capacity_hs_s;
-    fd_offered_rate = o.Experiment.fo_offered_rate;
-    fd_window_s = o.Experiment.fo_window_s;
-    fd_offered = o.Experiment.fo_offered;
-    fd_completed = o.Experiment.fo_completed;
-    fd_dropped = o.Experiment.fo_dropped;
-    fd_unfinished = o.Experiment.fo_unfinished;
-    fd_latency = dist ~seed:(id ^ "/latency") lat;
-    fd_latency_p999 = Stats.percentile 0.999 lat;
-    fd_p99_ci_lo = p99_lo;
-    fd_p99_ci_hi = p99_hi;
-    fd_wait = dist ~seed:(id ^ "/wait") o.Experiment.fo_wait_ms;
-    fd_server_cpu_ms = o.Experiment.fo_server_cpu_ms;
-    fd_server_busy = o.Experiment.fo_server_busy;
-    fd_server_ledger = o.Experiment.fo_server_ledger;
-    fd_per_server_completed = o.Experiment.fo_per_server_completed;
-    fd_adv_launched = o.Experiment.fo_adv_launched;
-    fd_adv_completed = o.Experiment.fo_adv_completed;
-    fd_adv_client_bytes = o.Experiment.fo_adv_client_bytes;
-    fd_adv_server_bytes = o.Experiment.fo_adv_server_bytes;
-    fd_benign_client_bytes = o.Experiment.fo_benign_client_bytes;
-    fd_benign_server_bytes = o.Experiment.fo_benign_server_bytes;
-    fd_cal_client_cpu_ms = o.Experiment.fo_cal_client_cpu_ms;
-    fd_cal_server_cpu_ms = o.Experiment.fo_cal_server_cpu_ms;
-    fd_cal_adv_server_cpu_ms = o.Experiment.fo_cal_adv_server_cpu_ms;
-    fd_resumed_completed = o.Experiment.fo_resumed_completed;
-    fd_early_data_bytes = o.Experiment.fo_early_data_bytes }
+  let total s = s.Experiment.total_ms in
+  let server_bytes s = float_of_int s.Experiment.server_bytes in
+  Json.Obj
+    [ ("resumed_n", Json.Int (List.length resumed));
+      ("full_n", Json.Int (List.length full));
+      ( "early_data_bytes",
+        Json.Int
+          (List.fold_left
+             (fun acc s -> acc + s.Experiment.early_data_bytes)
+             0 samples) );
+      ("resumed_total_ms", sub "resumed_total" resumed total);
+      ("full_total_ms", sub "full_total" full total);
+      ("resumed_server_bytes", sub "resumed_server_bytes" resumed server_bytes);
+      ("full_server_bytes", sub "full_server_bytes" full server_bytes) ]
+
+let chain_json levels =
+  let wire = List.fold_left (fun acc (_, _, b, _) -> acc + b) 0 levels in
+  let cpu = List.fold_left (fun acc (_, _, _, ms) -> acc +. ms) 0. levels in
+  Json.Obj
+    [ ("wire_bytes", Json.Int wire);
+      ("verify_ms", Json.Float cpu);
+      ( "levels",
+        Json.List
+          (List.map
+             (fun (name, issuer, bytes, verify_ms) ->
+               Json.Obj
+                 [ ("level", Json.String name);
+                   ("issuer_sa", Json.String issuer);
+                   ("bytes", Json.Int bytes);
+                   ("verify_ms", Json.Float verify_ms) ])
+             levels) ) ]
+
+(* The "mix" and "chain" identity keys and the "resumption" and "chain"
+   data blocks exist only for non-full mixes and non-default chain
+   profiles, so artifacts of cells without them stay byte-identical
+   under schema /1. *)
+let standard_cell_json ~id ~key (sp : Experiment.spec) result =
+  let mix = sp.Experiment.sp_mix.Mix.name in
+  let chain = sp.Experiment.sp_chain.Tls.Chain_profile.name in
+  let data (o : Experiment.outcome) =
+    let samples = o.Experiment.samples in
+    let d name f = dist_json ~id name (List.map f samples) in
+    let di name f = d name (fun s -> float_of_int (f s)) in
+    let sum f = Json.Int (List.fold_left (fun acc s -> acc + f s) 0 samples) in
+    [ ("handshakes_per_minute", Json.Int o.Experiment.handshakes_per_minute);
+      ( "latency_ms",
+        Json.Obj
+          [ ("part_a", d "part_a" (fun s -> s.Experiment.part_a_ms));
+            ("part_b", d "part_b" (fun s -> s.Experiment.part_b_ms));
+            ("total", d "total" (fun s -> s.Experiment.total_ms));
+            ("iteration", d "iteration" (fun s -> s.Experiment.iteration_ms)) ]
+      );
+      ( "wire",
+        Json.Obj
+          [ ("client_bytes", di "client_bytes" (fun s -> s.Experiment.client_bytes));
+            ("server_bytes", di "server_bytes" (fun s -> s.Experiment.server_bytes));
+            ("client_pkts", di "client_pkts" (fun s -> s.Experiment.client_pkts));
+            ("server_pkts", di "server_pkts" (fun s -> s.Experiment.server_pkts));
+            ("retransmissions", sum (fun s -> s.Experiment.retransmissions));
+            ("fast_retx", sum (fun s -> s.Experiment.fast_retransmissions));
+            ("timeout_retx", sum (fun s -> s.Experiment.timeout_retransmissions));
+            ("rtt_samples", sum (fun s -> s.Experiment.rtt_samples)) ] );
+      ( "cpu",
+        Json.Obj
+          [ ("client_ms", Json.Float o.Experiment.client_cpu_ms);
+            ("server_ms", Json.Float o.Experiment.server_cpu_ms);
+            ("client_charges", Json.Int o.Experiment.client_cpu_charges);
+            ("server_charges", Json.Int o.Experiment.server_cpu_charges);
+            ("client_ledger", json_of_ledger o.Experiment.client_ledger);
+            ("server_ledger", json_of_ledger o.Experiment.server_ledger) ] ) ]
+    @ (if o.Experiment.mix_name = "full" then []
+       else [ ("resumption", resumption_json ~id samples) ])
+    @
+    if chain = "default" then []
+    else [ ("chain", chain_json o.Experiment.chain_levels) ]
+  in
+  cell_json
+    ([ ("id", Json.String id);
+       ("key", Json.String key);
+       ("kem", Json.String sp.Experiment.sp_kem.Pqc.Kem.name);
+       ("sig", Json.String sp.Experiment.sp_sig.Pqc.Sigalg.name);
+       ("scenario", Json.String sp.Experiment.sp_scenario.Scenario.name) ]
+    @ (if mix = "full" then [] else [ ("mix", Json.String mix) ])
+    @ (if chain = "default" then [] else [ ("chain", Json.String chain) ])
+    @ [ ("buffering", Json.String (buffering_name sp.Experiment.sp_buffering));
+        ("standard", Json.Bool (is_standard sp)) ])
+    result data
+
+let farm_cell_json ~id ~key (sp : Experiment.farm_spec) result =
+  let data (o : Experiment.farm_outcome) =
+    let lat = o.Experiment.fo_latencies_ms in
+    let p99_lo, p99_hi =
+      Stats.bootstrap_ci ~seed:(id ^ "/p99") (Stats.percentile 0.99) lat
+    in
+    [ ( "load",
+        Json.Obj
+          [ ("capacity_hs_s", Json.Float o.Experiment.fo_capacity_hs_s);
+            ("offered_rate_hs_s", Json.Float o.Experiment.fo_offered_rate);
+            ("window_s", Json.Float o.Experiment.fo_window_s);
+            ("offered", Json.Int o.Experiment.fo_offered);
+            ("completed", Json.Int o.Experiment.fo_completed);
+            ("dropped", Json.Int o.Experiment.fo_dropped);
+            ("unfinished", Json.Int o.Experiment.fo_unfinished) ] );
+      ( "latency_ms",
+        Json.Obj
+          [ ("handshake", dist_json ~id "latency" lat);
+            ("p999", Json.Float (Stats.percentile 0.999 lat));
+            ("p99_ci95_lo", Json.Float p99_lo);
+            ("p99_ci95_hi", Json.Float p99_hi);
+            ("accept_wait", dist_json ~id "wait" o.Experiment.fo_wait_ms) ] );
+      ( "servers",
+        Json.Obj
+          [ ("cpu_ms", Json.Float o.Experiment.fo_server_cpu_ms);
+            ("busy", Json.Float o.Experiment.fo_server_busy);
+            ("ledger", json_of_ledger o.Experiment.fo_server_ledger);
+            ( "completed",
+              Json.List
+                (List.map
+                   (fun n -> Json.Int n)
+                   o.Experiment.fo_per_server_completed) ) ] );
+      ( "adversarial",
+        Json.Obj
+          [ ("launched", Json.Int o.Experiment.fo_adv_launched);
+            ("completed", Json.Int o.Experiment.fo_adv_completed);
+            ("adv_client_bytes", Json.Int o.Experiment.fo_adv_client_bytes);
+            ("adv_server_bytes", Json.Int o.Experiment.fo_adv_server_bytes);
+            ("benign_client_bytes", Json.Int o.Experiment.fo_benign_client_bytes);
+            ("benign_server_bytes", Json.Int o.Experiment.fo_benign_server_bytes)
+          ] );
+      ( "calibration",
+        Json.Obj
+          [ ("client_cpu_ms", Json.Float o.Experiment.fo_cal_client_cpu_ms);
+            ("server_cpu_ms", Json.Float o.Experiment.fo_cal_server_cpu_ms);
+            ("adv_server_cpu_ms", Json.Float o.Experiment.fo_cal_adv_server_cpu_ms)
+          ] ) ]
+  in
+  cell_json
+    [ ("id", Json.String id);
+      ("key", Json.String key);
+      ("kem", Json.String sp.Experiment.fa_kem.Pqc.Kem.name);
+      ("sig", Json.String sp.Experiment.fa_sig.Pqc.Sigalg.name);
+      ("scenario", Json.String sp.Experiment.fa_scenario.Scenario.name);
+      ("profile", Json.String sp.Experiment.fa_profile);
+      ("policy", Json.String sp.Experiment.fa_policy);
+      ("utilization", Json.Float sp.Experiment.fa_utilization);
+      ("adv_fraction", Json.Float sp.Experiment.fa_adv_fraction) ]
+    result data
 
 (* ---- the registry -------------------------------------------------------- *)
 
@@ -269,8 +272,8 @@ type t = {
   series : (string, float list) Hashtbl.t; (* newest first *)
   seen : (string, unit) Hashtbl.t; (* cell fingerprints already recorded *)
   labels : (string, int) Hashtbl.t; (* spec_label -> occurrences *)
-  mutable cells_rev : cell list;
-  mutable farm_cells_rev : farm_cell list;
+  mutable cells_rev : Json.t list;
+  mutable farm_cells_rev : Json.t list;
   mutable experiments_rev : string list;
 }
 
@@ -323,7 +326,8 @@ let note_experiment t name =
    first recording; grids that share cells stay deduplicated. Both cell
    kinds share one [seen] / [labels] pair: fingerprints never collide
    across kinds (the farm tag differs), and neither do label formats.
-   [add key] records the cell under its disambiguated key. *)
+   [add key] records the cell under its disambiguated key; it runs only
+   for first recordings, so duplicates never pay for a bootstrap. *)
 let record_once t ~id ~label add =
   locked t (fun () ->
       if not (Hashtbl.mem t.seen id) then begin
@@ -341,42 +345,13 @@ let record_once t ~id ~label add =
 
 let record_cell t (sp : Experiment.spec) result =
   let id = Experiment.spec_fingerprint sp in
-  record_once t ~id
-    ~label:(Experiment.spec_label sp)
-    (fun key ->
-      let cell =
-        { m_id = id;
-          m_key = key;
-          m_kem = sp.Experiment.sp_kem.Pqc.Kem.name;
-          m_sig = sp.Experiment.sp_sig.Pqc.Sigalg.name;
-          m_scenario = sp.Experiment.sp_scenario.Scenario.name;
-          m_mix = sp.Experiment.sp_mix.Mix.name;
-          m_chain = sp.Experiment.sp_chain.Tls.Chain_profile.name;
-          m_buffering = buffering_name sp.Experiment.sp_buffering;
-          m_standard = is_standard sp;
-          m_data = Result.map (fun o -> data_of_outcome ~id o) result }
-      in
-      t.cells_rev <- cell :: t.cells_rev)
+  record_once t ~id ~label:(Experiment.spec_label sp) (fun key ->
+      t.cells_rev <- standard_cell_json ~id ~key sp result :: t.cells_rev)
 
 let record_farm_cell t (sp : Experiment.farm_spec) result =
   let id = Experiment.farm_spec_fingerprint sp in
-  record_once t ~id
-    ~label:(Experiment.farm_spec_label sp)
-    (fun key ->
-      let cell =
-        { f_id = id;
-          f_key = key;
-          f_kem = sp.Experiment.fa_kem.Pqc.Kem.name;
-          f_sig = sp.Experiment.fa_sig.Pqc.Sigalg.name;
-          f_scenario = sp.Experiment.fa_scenario.Scenario.name;
-          f_profile = sp.Experiment.fa_profile;
-          f_policy = sp.Experiment.fa_policy;
-          f_utilization = sp.Experiment.fa_utilization;
-          f_adv_fraction = sp.Experiment.fa_adv_fraction;
-          f_mix = sp.Experiment.fa_mix.Mix.name;
-          f_data = Result.map (fun o -> data_of_farm_outcome ~id o) result }
-      in
-      t.farm_cells_rev <- cell :: t.farm_cells_rev)
+  record_once t ~id ~label:(Experiment.farm_spec_label sp) (fun key ->
+      t.farm_cells_rev <- farm_cell_json ~id ~key sp result :: t.farm_cells_rev)
 
 let cell_count t =
   locked t (fun () ->
@@ -386,215 +361,25 @@ let cell_count t =
 
 let schema_version = "pqtls-bench-metrics/1"
 
-type artifact = {
-  a_seed : string;
-  a_experiments : string list;
-  a_cells : cell list;
-  a_farm_cells : farm_cell list;
-}
+type artifact = Json.t
 
 let artifact t ~seed =
   locked t (fun () ->
-      { a_seed = seed;
-        a_experiments = List.rev t.experiments_rev;
-        a_cells = List.rev t.cells_rev;
-        a_farm_cells = List.rev t.farm_cells_rev })
+      Json.Obj
+        ([ ("schema", Json.String schema_version);
+           ("seed", Json.String seed);
+           ( "experiments",
+             Json.List
+               (List.rev_map (fun e -> Json.String e) t.experiments_rev) );
+           ("cells", Json.List (List.rev t.cells_rev)) ]
+        (* only farm campaigns carry the key: artifacts of the other
+           campaigns stay byte-identical under schema /1 *)
+        @
+        match t.farm_cells_rev with
+        | [] -> []
+        | fcs -> [ ("farm_cells", Json.List (List.rev fcs)) ]))
 
-let json_of_dist d =
-  Json.Obj
-    [ ("n", Json.Int d.d_n);
-      ("mean", Json.Float d.d_mean);
-      ("stddev", Json.Float d.d_stddev);
-      ("p5", Json.Float d.d_p5);
-      ("p25", Json.Float d.d_p25);
-      ("p50", Json.Float d.d_p50);
-      ("p75", Json.Float d.d_p75);
-      ("p95", Json.Float d.d_p95);
-      ("p99", Json.Float d.d_p99);
-      ("ci95_lo", Json.Float d.d_ci_lo);
-      ("ci95_hi", Json.Float d.d_ci_hi) ]
-
-let json_of_ledger l =
-  Json.Obj (List.map (fun (lib, share) -> (lib, Json.Float share)) l)
-
-(* the resumption block (and the "mix" identity key) only exist for
-   mixed-workload cells, so every pre-mix artifact stays byte-identical
-   under schema /1 — the same stance farm_cells takes below *)
-let json_of_resumption r =
-  let opt_dist = function
-    | None -> Json.Null
-    | Some d -> json_of_dist d
-  in
-  Json.Obj
-    [ ("resumed_n", Json.Int r.rs_resumed_n);
-      ("full_n", Json.Int r.rs_full_n);
-      ("early_data_bytes", Json.Int r.rs_early_data_bytes);
-      ("resumed_total_ms", opt_dist r.rs_resumed_total);
-      ("full_total_ms", opt_dist r.rs_full_total);
-      ("resumed_server_bytes", opt_dist r.rs_resumed_server_bytes);
-      ("full_server_bytes", opt_dist r.rs_full_server_bytes) ]
-
-(* like the resumption block: the chain identity key and per-level
-   breakdown only exist for non-default chain profiles, so every
-   pre-chain artifact stays byte-identical under schema /1 *)
-let json_of_chain_levels levels =
-  let wire = List.fold_left (fun acc (_, _, b, _) -> acc + b) 0 levels in
-  let cpu = List.fold_left (fun acc (_, _, _, ms) -> acc +. ms) 0. levels in
-  Json.Obj
-    [ ("wire_bytes", Json.Int wire);
-      ("verify_ms", Json.Float cpu);
-      ( "levels",
-        Json.List
-          (List.map
-             (fun (name, issuer, bytes, verify_ms) ->
-               Json.Obj
-                 [ ("level", Json.String name);
-                   ("issuer_sa", Json.String issuer);
-                   ("bytes", Json.Int bytes);
-                   ("verify_ms", Json.Float verify_ms) ])
-             levels) ) ]
-
-let json_of_cell c =
-  let base =
-    [ ("id", Json.String c.m_id);
-      ("key", Json.String c.m_key);
-      ("kem", Json.String c.m_kem);
-      ("sig", Json.String c.m_sig);
-      ("scenario", Json.String c.m_scenario) ]
-    @ (if c.m_mix = "full" then []
-       else [ ("mix", Json.String c.m_mix) ])
-    @ (if c.m_chain = "default" then []
-       else [ ("chain", Json.String c.m_chain) ])
-    @ [ ("buffering", Json.String c.m_buffering);
-        ("standard", Json.Bool c.m_standard) ]
-  in
-  match c.m_data with
-  | Error msg ->
-    Json.Obj (base @ [ ("error", Json.String msg); ("data", Json.Null) ])
-  | Ok d ->
-    Json.Obj
-      (base
-      @ [ ( "data",
-            Json.Obj
-              ([ ("handshakes_per_minute", Json.Int d.cd_handshakes_per_minute);
-                ( "latency_ms",
-                  Json.Obj
-                    [ ("part_a", json_of_dist d.cd_part_a);
-                      ("part_b", json_of_dist d.cd_part_b);
-                      ("total", json_of_dist d.cd_total);
-                      ("iteration", json_of_dist d.cd_iteration) ] );
-                ( "wire",
-                  Json.Obj
-                    [ ("client_bytes", json_of_dist d.cd_client_bytes);
-                      ("server_bytes", json_of_dist d.cd_server_bytes);
-                      ("client_pkts", json_of_dist d.cd_client_pkts);
-                      ("server_pkts", json_of_dist d.cd_server_pkts);
-                      ("retransmissions", Json.Int d.cd_retransmissions);
-                      ("fast_retx", Json.Int d.cd_fast_retx);
-                      ("timeout_retx", Json.Int d.cd_timeout_retx);
-                      ("rtt_samples", Json.Int d.cd_rtt_samples) ] );
-                ( "cpu",
-                  Json.Obj
-                    [ ("client_ms", Json.Float d.cd_client_cpu_ms);
-                      ("server_ms", Json.Float d.cd_server_cpu_ms);
-                      ("client_charges", Json.Int d.cd_client_cpu_charges);
-                      ("server_charges", Json.Int d.cd_server_cpu_charges);
-                      ("client_ledger", json_of_ledger d.cd_client_ledger);
-                      ("server_ledger", json_of_ledger d.cd_server_ledger) ]
-                ) ]
-              @ (match d.cd_resumption with
-                | None -> []
-                | Some r -> [ ("resumption", json_of_resumption r) ])
-              @
-              if c.m_chain = "default" then []
-              else [ ("chain", json_of_chain_levels d.cd_chain_levels) ]) ) ])
-
-let json_of_farm_cell c =
-  let base =
-    [ ("id", Json.String c.f_id);
-      ("key", Json.String c.f_key);
-      ("kem", Json.String c.f_kem);
-      ("sig", Json.String c.f_sig);
-      ("scenario", Json.String c.f_scenario);
-      ("profile", Json.String c.f_profile);
-      ("policy", Json.String c.f_policy);
-      ("utilization", Json.Float c.f_utilization);
-      ("adv_fraction", Json.Float c.f_adv_fraction) ]
-    @ if c.f_mix = "full" then [] else [ ("mix", Json.String c.f_mix) ]
-  in
-  match c.f_data with
-  | Error msg ->
-    Json.Obj (base @ [ ("error", Json.String msg); ("data", Json.Null) ])
-  | Ok d ->
-    Json.Obj
-      (base
-      @ [ ( "data",
-            Json.Obj
-              ([ ( "load",
-                  Json.Obj
-                    [ ("capacity_hs_s", Json.Float d.fd_capacity_hs_s);
-                      ("offered_rate_hs_s", Json.Float d.fd_offered_rate);
-                      ("window_s", Json.Float d.fd_window_s);
-                      ("offered", Json.Int d.fd_offered);
-                      ("completed", Json.Int d.fd_completed);
-                      ("dropped", Json.Int d.fd_dropped);
-                      ("unfinished", Json.Int d.fd_unfinished) ] );
-                ( "latency_ms",
-                  Json.Obj
-                    [ ("handshake", json_of_dist d.fd_latency);
-                      ("p999", Json.Float d.fd_latency_p999);
-                      ("p99_ci95_lo", Json.Float d.fd_p99_ci_lo);
-                      ("p99_ci95_hi", Json.Float d.fd_p99_ci_hi);
-                      ("accept_wait", json_of_dist d.fd_wait) ] );
-                ( "servers",
-                  Json.Obj
-                    [ ("cpu_ms", Json.Float d.fd_server_cpu_ms);
-                      ("busy", Json.Float d.fd_server_busy);
-                      ("ledger", json_of_ledger d.fd_server_ledger);
-                      ( "completed",
-                        Json.List
-                          (List.map
-                             (fun n -> Json.Int n)
-                             d.fd_per_server_completed) ) ] );
-                ( "adversarial",
-                  Json.Obj
-                    [ ("launched", Json.Int d.fd_adv_launched);
-                      ("completed", Json.Int d.fd_adv_completed);
-                      ("adv_client_bytes", Json.Int d.fd_adv_client_bytes);
-                      ("adv_server_bytes", Json.Int d.fd_adv_server_bytes);
-                      ("benign_client_bytes", Json.Int d.fd_benign_client_bytes);
-                      ("benign_server_bytes", Json.Int d.fd_benign_server_bytes)
-                    ] );
-                ( "calibration",
-                  Json.Obj
-                    [ ("client_cpu_ms", Json.Float d.fd_cal_client_cpu_ms);
-                      ("server_cpu_ms", Json.Float d.fd_cal_server_cpu_ms);
-                      ( "adv_server_cpu_ms",
-                        Json.Float d.fd_cal_adv_server_cpu_ms ) ] ) ]
-              @
-              if c.f_mix = "full" then []
-              else
-                [ ( "resumption",
-                    Json.Obj
-                      [ ("completed", Json.Int d.fd_resumed_completed);
-                        ("early_data_bytes", Json.Int d.fd_early_data_bytes)
-                      ] ) ]) ) ])
-
-let to_json_string a =
-  Json.to_string
-    (Json.Obj
-       ([ ("schema", Json.String schema_version);
-          ("seed", Json.String a.a_seed);
-          ( "experiments",
-            Json.List (List.map (fun e -> Json.String e) a.a_experiments) );
-          ("cells", Json.List (List.map json_of_cell a.a_cells)) ]
-       (* only farm campaigns carry the key: artifacts of the existing
-          campaigns stay byte-identical under schema /1 *)
-       @
-       match a.a_farm_cells with
-       | [] -> []
-       | fcs ->
-         [ ("farm_cells", Json.List (List.map json_of_farm_cell fcs)) ]))
+let to_json_string a = Json.to_string a
 
 (* ---- the parsed (comparison) side ---------------------------------------- *)
 
@@ -604,29 +389,17 @@ type p_cell = {
   p_kem : string;
   p_sig : string;
   p_scenario : string;
-  p_buffering : string;
-  p_standard : bool;
+  p_buffering : string; (* "" for farm cells *)
+  p_standard : bool; (* false for farm cells *)
   p_error : string option;
   p_metrics : (string * float) list; (* flattened numeric leaves, in order *)
-}
-
-type p_farm_cell = {
-  pf_id : string;
-  pf_key : string;
-  pf_kem : string;
-  pf_sig : string;
-  pf_scenario : string;
-  pf_profile : string;
-  pf_policy : string;
-  pf_error : string option;
-  pf_metrics : (string * float) list;
 }
 
 type p_artifact = {
   p_seed : string;
   p_experiments : string list;
   p_cells : p_cell list;
-  p_farm_cells : p_farm_cell list;
+  p_farm_cells : p_cell list;
 }
 
 let rec flatten prefix j acc =
@@ -645,26 +418,30 @@ let rec flatten prefix j acc =
   | Json.Bool _ | Json.String _ -> acc
 
 let ( let* ) = Result.bind
+let req what = Json.req "metrics artifact" what
 
-let req what o =
-  match o with
-  | Some v -> Ok v
-  | None -> Error ("metrics artifact: missing or ill-typed " ^ what)
-
-let parse_cell j =
-  let str k = Json.to_str (Json.member k j) in
-  let* id = req "cell id" (str "id") in
-  let* key = req "cell key" (str "key") in
-  let* kem = req "cell kem" (str "kem") in
-  let* sig_ = req "cell sig" (str "sig") in
-  let* scenario = req "cell scenario" (str "scenario") in
-  let* buffering = req "cell buffering" (str "buffering") in
-  let* standard = req "cell standard" (Json.to_bool (Json.member "standard" j)) in
-  let error = Json.to_str (Json.member "error" j) in
-  let metrics =
-    match Json.member "data" j with
-    | Some (Json.Obj _ as data) -> List.rev (flatten "data" data [])
-    | _ -> []
+(* one parser for both kinds; each still requires its own identity keys
+   ([buffering]/[standard] for standard cells, [profile]/[policy] for
+   farm cells) *)
+let parse_cell ~farm j =
+  let what k = (if farm then "farm cell " else "cell ") ^ k in
+  let str k = req (what k) (Json.to_str (Json.member k j)) in
+  let* id = str "id" in
+  let* key = str "key" in
+  let* kem = str "kem" in
+  let* sig_ = str "sig" in
+  let* scenario = str "scenario" in
+  let* buffering, standard =
+    if farm then
+      let* _profile = str "profile" in
+      let* _policy = str "policy" in
+      Ok ("", false)
+    else
+      let* buffering = str "buffering" in
+      let* standard =
+        req (what "standard") (Json.to_bool (Json.member "standard" j))
+      in
+      Ok (buffering, standard)
   in
   Ok
     { p_id = id;
@@ -674,48 +451,11 @@ let parse_cell j =
       p_scenario = scenario;
       p_buffering = buffering;
       p_standard = standard;
-      p_error = error;
-      p_metrics = metrics }
-
-let rec collect_cells = function
-  | [] -> Ok []
-  | j :: rest ->
-    let* c = parse_cell j in
-    let* cs = collect_cells rest in
-    Ok (c :: cs)
-
-let parse_farm_cell j =
-  let str k = Json.to_str (Json.member k j) in
-  let* id = req "farm cell id" (str "id") in
-  let* key = req "farm cell key" (str "key") in
-  let* kem = req "farm cell kem" (str "kem") in
-  let* sig_ = req "farm cell sig" (str "sig") in
-  let* scenario = req "farm cell scenario" (str "scenario") in
-  let* profile = req "farm cell profile" (str "profile") in
-  let* policy = req "farm cell policy" (str "policy") in
-  let error = str "error" in
-  let metrics =
-    match Json.member "data" j with
-    | Some (Json.Obj _ as data) -> List.rev (flatten "data" data [])
-    | _ -> []
-  in
-  Ok
-    { pf_id = id;
-      pf_key = key;
-      pf_kem = kem;
-      pf_sig = sig_;
-      pf_scenario = scenario;
-      pf_profile = profile;
-      pf_policy = policy;
-      pf_error = error;
-      pf_metrics = metrics }
-
-let rec collect_farm_cells = function
-  | [] -> Ok []
-  | j :: rest ->
-    let* c = parse_farm_cell j in
-    let* cs = collect_farm_cells rest in
-    Ok (c :: cs)
+      p_error = Json.to_str (Json.member "error" j);
+      p_metrics =
+        (match Json.member "data" j with
+        | Some (Json.Obj _ as data) -> List.rev (flatten "data" data [])
+        | _ -> []) }
 
 let of_json_string s =
   let* j = Json.parse s in
@@ -728,23 +468,17 @@ let of_json_string s =
     let* seed = req "seed" (Json.to_str (Json.member "seed" j)) in
     let* experiments = req "experiments" (Json.to_list (Json.member "experiments" j)) in
     let* experiments =
-      List.fold_left
-        (fun acc e ->
-          let* acc = acc in
-          let* name = req "experiment name" (Json.to_str (Some e)) in
-          Ok (name :: acc))
-        (Ok []) experiments
-      |> Result.map List.rev
+      Json.map_req (fun e -> req "experiment name" (Json.to_str (Some e))) experiments
     in
     let* cells = req "cells" (Json.to_list (Json.member "cells" j)) in
-    let* cells = collect_cells cells in
+    let* cells = Json.map_req (parse_cell ~farm:false) cells in
     (* absent for every pre-farm artifact; never required *)
     let* farm_cells =
       match Json.member "farm_cells" j with
       | None -> Ok []
       | Some fj ->
         let* items = req "farm_cells" (Json.to_list (Some fj)) in
-        collect_farm_cells items
+        Json.map_req (parse_cell ~farm:true) items
     in
     Ok
       { p_seed = seed;
@@ -762,68 +496,56 @@ let rel_delta a b =
     Float.abs (a -. b)
     /. Float.max (Float.max (Float.abs a) (Float.abs b)) 1e-9
 
-(* shared cell-matching core of [diff]: both cell kinds reduce to
-   (id, key, error, metrics) views and get identical treatment *)
-let diff_views ~rel_tol ~issue base_cells cand_cells =
-  let issue fmt = Printf.ksprintf issue fmt in
-  let index =
-    let h = Hashtbl.create (List.length cand_cells) in
-    List.iter
-      (fun ((id, _, _, _) as c) -> Hashtbl.replace h id c)
-      cand_cells;
-    h
-  in
-  let base_ids = Hashtbl.create (List.length base_cells) in
-  List.iter (fun (id, _, _, _) -> Hashtbl.replace base_ids id ()) base_cells;
-  List.iter
-    (fun (b_id, b_key, b_error, b_metrics) ->
-      match Hashtbl.find_opt index b_id with
-      | None -> issue "%s: cell missing from candidate" b_key
-      | Some (_, _, c_error, c_metrics) -> (
-        match (b_error, c_error) with
-        | Some _, Some _ -> () (* both failed; messages may differ *)
-        | Some _, None -> issue "%s: failed in baseline, ok in candidate" b_key
-        | None, Some _ -> issue "%s: ok in baseline, failed in candidate" b_key
-        | None, None ->
-          let cm = Hashtbl.create (List.length c_metrics) in
-          List.iter (fun (k, v) -> Hashtbl.replace cm k v) c_metrics;
-          List.iter
-            (fun (k, bv) ->
-              match Hashtbl.find_opt cm k with
-              | None -> issue "%s: metric %s missing from candidate" b_key k
-              | Some cv ->
-                let rel = rel_delta bv cv in
-                if not (rel <= rel_tol) then
-                  issue "%s: %s %s vs %s (%.2f%% apart, tol %.2f%%)" b_key k
-                    (Json.float_repr bv) (Json.float_repr cv) (100. *. rel)
-                    (100. *. rel_tol))
-            b_metrics;
-          List.iter
-            (fun (k, _) ->
-              if not (List.mem_assoc k b_metrics) then
-                issue "%s: metric %s missing from baseline" b_key k)
-            c_metrics))
-    base_cells;
-  List.iter
-    (fun (id, key, _, _) ->
-      if not (Hashtbl.mem base_ids id) then
-        issue "%s: cell missing from baseline" key)
-    cand_cells
-
 let diff ?(rel_tol = 0.) base cand =
   let issues = ref [] in
   let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
   if base.p_seed <> cand.p_seed then
     issue "seed mismatch: %S vs %S" base.p_seed cand.p_seed;
-  let issue s = issue "%s" s in
-  let cell_view c = (c.p_id, c.p_key, c.p_error, c.p_metrics) in
-  let farm_view c = (c.pf_id, c.pf_key, c.pf_error, c.pf_metrics) in
-  diff_views ~rel_tol ~issue
-    (List.map cell_view base.p_cells)
-    (List.map cell_view cand.p_cells);
-  diff_views ~rel_tol ~issue
-    (List.map farm_view base.p_farm_cells)
-    (List.map farm_view cand.p_farm_cells);
+  (* each kind's cells match on [p_id] within their own list *)
+  let diff_cells base_cells cand_cells =
+    let index cells =
+      let h = Hashtbl.create (List.length cells) in
+      List.iter (fun c -> Hashtbl.replace h c.p_id c) cells;
+      h
+    in
+    let cand_index = index cand_cells and base_index = index base_cells in
+    List.iter
+      (fun b ->
+        match Hashtbl.find_opt cand_index b.p_id with
+        | None -> issue "%s: cell missing from candidate" b.p_key
+        | Some c -> (
+          match (b.p_error, c.p_error) with
+          | Some _, Some _ -> () (* both failed; messages may differ *)
+          | Some _, None -> issue "%s: failed in baseline, ok in candidate" b.p_key
+          | None, Some _ -> issue "%s: ok in baseline, failed in candidate" b.p_key
+          | None, None ->
+            let cm = Hashtbl.create (List.length c.p_metrics) in
+            List.iter (fun (k, v) -> Hashtbl.replace cm k v) c.p_metrics;
+            List.iter
+              (fun (k, bv) ->
+                match Hashtbl.find_opt cm k with
+                | None -> issue "%s: metric %s missing from candidate" b.p_key k
+                | Some cv ->
+                  let rel = rel_delta bv cv in
+                  if not (rel <= rel_tol) then
+                    issue "%s: %s %s vs %s (%.2f%% apart, tol %.2f%%)" b.p_key k
+                      (Json.float_repr bv) (Json.float_repr cv) (100. *. rel)
+                      (100. *. rel_tol))
+              b.p_metrics;
+            List.iter
+              (fun (k, _) ->
+                if not (List.mem_assoc k b.p_metrics) then
+                  issue "%s: metric %s missing from baseline" b.p_key k)
+              c.p_metrics))
+      base_cells;
+    List.iter
+      (fun c ->
+        if not (Hashtbl.mem base_index c.p_id) then
+          issue "%s: cell missing from baseline" c.p_key)
+      cand_cells
+  in
+  diff_cells base.p_cells cand.p_cells;
+  diff_cells base.p_farm_cells cand.p_farm_cells;
   List.rev !issues
 
 (* ---- the paper-drift gate ------------------------------------------------ *)

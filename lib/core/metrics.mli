@@ -33,121 +33,6 @@ val dist : seed:string -> float list -> dist
     interval a pure function of the data).
     @raise Invalid_argument on the empty list. *)
 
-type resumption = {
-  rs_resumed_n : int;  (** sampled connections that resumed *)
-  rs_full_n : int;  (** sampled connections that ran the full handshake *)
-  rs_early_data_bytes : int;  (** 0-RTT bytes accepted, summed *)
-  rs_resumed_total : dist option;  (** total latency, resumed subset (ms) *)
-  rs_full_total : dist option;
-  rs_resumed_server_bytes : dist option;
-  rs_full_server_bytes : dist option;
-}
-(** Per-population split of a mixed-workload cell (Table 6): [None]
-    dists mean the mix's coin never produced that population within the
-    sample budget. *)
-
-type cell_data = {
-  cd_handshakes_per_minute : int;
-  cd_part_a : dist;  (** latencies in ms *)
-  cd_part_b : dist;
-  cd_total : dist;
-  cd_iteration : dist;
-  cd_client_bytes : dist;
-  cd_server_bytes : dist;
-  cd_client_pkts : dist;
-  cd_server_pkts : dist;
-  cd_retransmissions : int;  (** summed over every sampled handshake *)
-  cd_fast_retx : int;
-  cd_timeout_retx : int;
-  cd_rtt_samples : int;
-  cd_client_cpu_ms : float;
-  cd_server_cpu_ms : float;
-  cd_client_cpu_charges : int;
-  cd_server_cpu_charges : int;
-  cd_client_ledger : (string * float) list;
-  cd_server_ledger : (string * float) list;
-  cd_resumption : resumption option;
-      (** [Some] iff the cell ran a non-full {!Mix}; the serialized
-          artifact gains its "resumption" key (and the cell its "mix"
-          key) only then, so pre-mix artifacts stay byte-identical *)
-  cd_chain_levels : (string * string * int * float) list;
-      (** per-level certificate-chain breakdown, leaf first: (level,
-          issuing SA, CertificateEntry bytes, verify ms). Serialized —
-          as the "chain" data block plus the cell's "chain" identity
-          key — only for non-default {!Tls.Chain_profile}s, so
-          pre-chain artifacts stay byte-identical *)
-}
-
-type cell = {
-  m_id : string;  (** {!Experiment.spec_fingerprint} — the identity *)
-  m_key : string;
-      (** {!Experiment.spec_label}, with a deterministic [#k] suffix
-          when several specs share a label (ablation grids) *)
-  m_kem : string;
-  m_sig : string;
-  m_scenario : string;
-  m_mix : string;  (** {!Mix} name; ["full"] for pre-mix cells *)
-  m_chain : string;
-      (** {!Tls.Chain_profile} name; ["default"] for pre-chain cells *)
-  m_buffering : string;  (** ["push"] or ["buffered"] *)
-  m_standard : bool;
-      (** everything except kem/sig/scenario/buffering/seed at the
-          {!Experiment.spec} defaults — the cells {!against_paper} may
-          judge *)
-  m_data : (cell_data, string) result;  (** [Error] carries the failure *)
-}
-
-(** {1 Farm cells (Table 5)}
-
-    One summary per {!Experiment.farm_spec} cell. The artifact gains a
-    [farm_cells] key only when a farm campaign ran, so artifacts of the
-    existing campaigns stay byte-identical under the same schema
-    version; parsers treat the key as optional. *)
-
-type farm_cell_data = {
-  fd_capacity_hs_s : float;
-  fd_offered_rate : float;
-  fd_window_s : float;
-  fd_offered : int;
-  fd_completed : int;
-  fd_dropped : int;
-  fd_unfinished : int;
-  fd_latency : dist;  (** arrival-to-Finished, ms *)
-  fd_latency_p999 : float;
-  fd_p99_ci_lo : float;  (** deterministic bootstrap 95 % CI of the p99 *)
-  fd_p99_ci_hi : float;
-  fd_wait : dist;  (** accept-queue wait, ms *)
-  fd_server_cpu_ms : float;
-  fd_server_busy : float;
-  fd_server_ledger : (string * float) list;
-  fd_per_server_completed : int list;
-  fd_adv_launched : int;
-  fd_adv_completed : int;
-  fd_adv_client_bytes : int;
-  fd_adv_server_bytes : int;
-  fd_benign_client_bytes : int;
-  fd_benign_server_bytes : int;
-  fd_cal_client_cpu_ms : float;
-  fd_cal_server_cpu_ms : float;
-  fd_cal_adv_server_cpu_ms : float;
-  fd_resumed_completed : int;  (** completed connections that resumed *)
-  fd_early_data_bytes : int;  (** 0-RTT bytes accepted across the farm *)
-}
-
-type farm_cell = {
-  f_id : string;  (** {!Experiment.farm_spec_fingerprint} *)
-  f_key : string;
-  f_kem : string;
-  f_sig : string;
-  f_scenario : string;
-  f_profile : string;
-  f_policy : string;
-  f_utilization : float;
-  f_adv_fraction : float;
-  f_mix : string;  (** {!Mix} name; ["full"] for pre-mix cells *)
-  f_data : (farm_cell_data, string) result;
-}
-
 (** {1 The registry} *)
 
 type t
@@ -176,18 +61,33 @@ val note_experiment : t -> string -> unit
 
 val record_cell :
   t -> Experiment.spec -> (Experiment.outcome, string) result -> unit
-(** Summarize one finished cell. Deduplicated on the spec fingerprint
-    (first recording wins), so call order — which {!Exec.cells} fixes
-    to spec order — fully determines the artifact. *)
+(** Summarize one finished cell straight into its artifact JSON: its
+    identity (fingerprint [id], disambiguated label [key], kem, sig,
+    scenario, buffering, standardness — everything except
+    kem/sig/scenario/buffering/seed at the {!Experiment.spec} defaults,
+    the cells {!against_paper} may judge), then either [error] or the
+    [data] block of distribution summaries. Non-full {!Mix} cells gain
+    a [mix] key and a per-population [resumption] block, non-default
+    {!Tls.Chain_profile} cells a [chain] key and block; no other cell
+    carries them. Deduplicated on the spec fingerprint (first
+    recording wins), so call order — which {!Exec.cells} fixes to spec
+    order — fully determines the artifact. Labels shared by several
+    specs (ablation grids) get a deterministic [#k] suffix. *)
 
 val record_farm_cell :
   t ->
   Experiment.farm_spec ->
   (Experiment.farm_outcome, string) result ->
   unit
-(** Farm-cell counterpart of {!record_cell}, sharing its fingerprint
-    dedup and label disambiguation; recorded by {!Exec.farm_cells} in
-    spec order. *)
+(** Farm-cell (Table 5) counterpart of {!record_cell}, sharing its
+    fingerprint dedup and label disambiguation; recorded by
+    {!Exec.farm_cells} in spec order. Its identity adds the workload
+    profile, balancer policy, utilization and adversarial fraction; its
+    data block holds load, latency, per-server, adversarial and
+    calibration figures. The artifact gains a [farm_cells] key only
+    when a farm cell was recorded, so artifacts of the other campaigns
+    stay byte-identical under the same schema version; parsers treat
+    the key as optional. *)
 
 val cell_count : t -> int
 (** Recorded cells of both kinds. *)
@@ -197,12 +97,8 @@ val cell_count : t -> int
 val schema_version : string
 (** ["pqtls-bench-metrics/1"]; bump when the JSON shape changes. *)
 
-type artifact = {
-  a_seed : string;
-  a_experiments : string list;
-  a_cells : cell list;
-  a_farm_cells : farm_cell list;
-}
+type artifact
+(** A snapshot of the recorded cells under a campaign seed. *)
 
 val artifact : t -> seed:string -> artifact
 val to_json_string : artifact -> string
@@ -213,7 +109,8 @@ val to_json_string : artifact -> string
 
 (** A parsed artifact: per-cell identity plus the flattened numeric
     leaves, which is all the gates need — re-reading a file someone
-    else's build wrote never loses precision this way. *)
+    else's build wrote never loses precision this way. Both cell kinds
+    parse into {!p_cell}. *)
 
 type p_cell = {
   p_id : string;
@@ -221,35 +118,25 @@ type p_cell = {
   p_kem : string;
   p_sig : string;
   p_scenario : string;
-  p_buffering : string;
-  p_standard : bool;
+  p_buffering : string;  (** ["push"] or ["buffered"]; [""] for farm cells *)
+  p_standard : bool;  (** [false] for farm cells *)
   p_error : string option;
   p_metrics : (string * float) list;
       (** dotted-path numeric leaves, e.g.
           ["data.latency_ms.total.p50"], in serialization order *)
 }
 
-type p_farm_cell = {
-  pf_id : string;
-  pf_key : string;
-  pf_kem : string;
-  pf_sig : string;
-  pf_scenario : string;
-  pf_profile : string;
-  pf_policy : string;
-  pf_error : string option;
-  pf_metrics : (string * float) list;
-}
-
 type p_artifact = {
   p_seed : string;
   p_experiments : string list;
   p_cells : p_cell list;
-  p_farm_cells : p_farm_cell list;  (** [[]] for pre-farm artifacts *)
+  p_farm_cells : p_cell list;  (** [[]] for pre-farm artifacts *)
 }
 
 val of_json_string : string -> (p_artifact, string) result
-(** Rejects other schema versions and malformed documents. *)
+(** Rejects other schema versions and malformed documents, including
+    cells missing their kind's identity keys ([buffering]/[standard]
+    for standard cells, [profile]/[policy] for farm cells). *)
 
 val diff : ?rel_tol:float -> p_artifact -> p_artifact -> string list
 (** Human-readable drift issues between a baseline and a candidate,

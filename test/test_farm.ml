@@ -186,12 +186,12 @@ let test_farm_jobs_identity () =
     (Metrics.diff p (parse_artifact a4));
   let first = List.hd p.Metrics.p_farm_cells in
   Alcotest.(check string) "spec order preserved"
-    "farm x25519 x rsa:2048 @ none/poisson u=0.90" first.Metrics.pf_key;
+    "farm x25519 x rsa:2048 @ none/poisson u=0.90" first.Metrics.p_key;
   Alcotest.(check bool) "farm leaves present" true
-    (List.mem_assoc "data.latency_ms.handshake.p99" first.Metrics.pf_metrics
-    && List.mem_assoc "data.latency_ms.p999" first.Metrics.pf_metrics
-    && List.mem_assoc "data.load.capacity_hs_s" first.Metrics.pf_metrics
-    && List.mem_assoc "data.servers.busy" first.Metrics.pf_metrics)
+    (List.mem_assoc "data.latency_ms.handshake.p99" first.Metrics.p_metrics
+    && List.mem_assoc "data.latency_ms.p999" first.Metrics.p_metrics
+    && List.mem_assoc "data.load.capacity_hs_s" first.Metrics.p_metrics
+    && List.mem_assoc "data.servers.busy" first.Metrics.p_metrics)
 
 let test_farm_outcome_sanity () =
   let o =

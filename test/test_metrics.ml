@@ -192,15 +192,17 @@ let test_cell_identity_rules () =
   (* same label, different knob: both recorded, keys disambiguated *)
   let sp2 = Experiment.spec ~seed:"id" ~buffer_limit:8192 (kem "x25519") (sa "rsa:2048") in
   Metrics.record_cell m sp2 (Ok (Experiment.run_spec sp2));
-  let a = Metrics.artifact m ~seed:"id" in
+  let a =
+    parse_artifact (Metrics.to_json_string (Metrics.artifact m ~seed:"id"))
+  in
   Alcotest.(check (list string)) "deterministic #k suffix on label clash"
     [ "x25519 x rsa:2048 @ none"; "x25519 x rsa:2048 @ none#2" ]
-    (List.map (fun c -> c.Metrics.m_key) a.Metrics.a_cells);
-  (match (List.nth a.Metrics.a_cells 1).Metrics.m_data with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+    (List.map (fun c -> c.Metrics.p_key) a.Metrics.p_cells);
+  (match (List.nth a.Metrics.p_cells 1).Metrics.p_error with
+  | None -> ()
+  | Some e -> Alcotest.fail e);
   Alcotest.(check bool) "non-default knob is not standard" false
-    (List.nth a.Metrics.a_cells 1).Metrics.m_standard
+    (List.nth a.Metrics.p_cells 1).Metrics.p_standard
 
 (* ---- mix cells (Table 6) ----------------------------------------------------- *)
 
