@@ -353,7 +353,6 @@ type farm_spec = {
   fa_max_connections : int;
   fa_adv_fraction : float;
   fa_adv_kem : Pqc.Kem.t;
-  fa_mix : Mix.t;
   fa_seed : string;
 }
 
@@ -378,9 +377,6 @@ type farm_outcome = {
   fo_server_busy : float;
   fo_server_ledger : (string * float) list;
   fo_per_server_completed : int list;
-  fo_mix_name : string;
-  fo_resumed_completed : int;
-  fo_early_data_bytes : int;
   fo_adv_launched : int;
   fo_adv_completed : int;
   fo_adv_client_bytes : int;
@@ -396,7 +392,7 @@ let farm_spec ?(scenario = Scenario.no_emulation) ?(profile = "poisson")
     ?(policy = "least-connections") ?(servers = 3) ?(max_concurrent = 64)
     ?(accept_queue = 128) ?(utilization = 0.9) ?(duration_s = 1.)
     ?(max_connections = 1200) ?(adv_fraction = 0.)
-    ?(adv_kem = Pqc.Registry.baseline_kem) ?(mix = Mix.full) ?(seed = "pqtls")
+    ?(adv_kem = Pqc.Registry.baseline_kem) ?(seed = "pqtls")
     kem sig_alg =
   (* validate eagerly so a typo fails at grid-build time, not mid-cell *)
   ignore (Netsim.Workload.find profile);
@@ -414,23 +410,20 @@ let farm_spec ?(scenario = Scenario.no_emulation) ?(profile = "poisson")
     fa_max_connections = max_connections;
     fa_adv_fraction = adv_fraction;
     fa_adv_kem = adv_kem;
-    fa_mix = mix;
     fa_seed = seed }
 
 let farm_spec_label sp =
-  Printf.sprintf "farm %s x %s @ %s/%s u=%.2f%s%s" sp.fa_kem.Pqc.Kem.name
+  Printf.sprintf "farm %s x %s @ %s/%s u=%.2f%s" sp.fa_kem.Pqc.Kem.name
     sp.fa_sig.Pqc.Sigalg.name sp.fa_scenario.Scenario.name sp.fa_profile
     sp.fa_utilization
     (if sp.fa_adv_fraction > 0. then
        Printf.sprintf " adv=%.0f%%" (100. *. sp.fa_adv_fraction)
      else "")
-    (if Mix.is_full sp.fa_mix then ""
-     else Printf.sprintf " [%s]" sp.fa_mix.Mix.label)
 
 let farm_spec_fingerprint sp =
   let netem = sp.fa_scenario.Scenario.netem in
   Printf.sprintf
-    "farm-v1|kem=%s|sig=%s|scenario=%s|loss=%h|loss_towards=%s|delay=%h|jitter=%h|rate=%h|profile=%s|policy=%s|servers=%d|conc=%d|queue=%d|util=%h|duration=%h|maxconn=%d|adv=%h|advkem=%s|seed=%s%s"
+    "farm-v1|kem=%s|sig=%s|scenario=%s|loss=%h|loss_towards=%s|delay=%h|jitter=%h|rate=%h|profile=%s|policy=%s|servers=%d|conc=%d|queue=%d|util=%h|duration=%h|maxconn=%d|adv=%h|advkem=%s|seed=%s"
     sp.fa_kem.Pqc.Kem.name sp.fa_sig.Pqc.Sigalg.name
     sp.fa_scenario.Scenario.name netem.Netsim.Link.loss
     (Option.value ~default:"-" netem.Netsim.Link.loss_towards)
@@ -439,8 +432,6 @@ let farm_spec_fingerprint sp =
     sp.fa_max_concurrent sp.fa_accept_queue sp.fa_utilization
     sp.fa_duration_s sp.fa_max_connections sp.fa_adv_fraction
     sp.fa_adv_kem.Pqc.Kem.name sp.fa_seed
-    (if Mix.is_full sp.fa_mix then ""
-     else Printf.sprintf "|mix=%s" sp.fa_mix.Mix.name)
 
 (* per-iteration harness charges of the closed-loop calibration run that
    a farm server never pays: measurement-loop python + libc plus the nic
@@ -450,26 +441,22 @@ let harness_overhead_ms = harness_python_ms +. harness_libc_ms +. 0.06
 (* per-handshake CPU of one side under this KA x SA x scenario, from a
    short closed-loop run with the harness overhead removed — the service
    rate behind "sustainable capacity" *)
-let calibrate sp ~kem ~mix ~seed =
+let calibrate sp ~kem ~seed =
   let o =
     run_spec
-      (spec ~scenario:sp.fa_scenario ~duration_s:30. ~max_samples:8 ~seed ~mix
-         kem sp.fa_sig)
+      (spec ~scenario:sp.fa_scenario ~duration_s:30. ~max_samples:8 ~seed kem
+         sp.fa_sig)
   in
   ( Float.max 0.001 (o.client_cpu_ms -. harness_overhead_ms),
     Float.max 0.001 (o.server_cpu_ms -. harness_overhead_ms) )
 
 let run_farm_spec sp =
-  (* benign capacity is calibrated under the cell's workload mix, so a
-     90%-resumed farm is offered the (higher) steady-state rate its
-     cheaper handshakes sustain; adversarial clients never resume *)
   let cal_client, cal_server =
-    calibrate sp ~kem:sp.fa_kem ~mix:sp.fa_mix ~seed:(sp.fa_seed ^ "/cal")
+    calibrate sp ~kem:sp.fa_kem ~seed:(sp.fa_seed ^ "/cal")
   in
   let _, cal_adv_server =
     if sp.fa_adv_fraction > 0. then
-      calibrate sp ~kem:sp.fa_adv_kem ~mix:Mix.full
-        ~seed:(sp.fa_seed ^ "/cal-adv")
+      calibrate sp ~kem:sp.fa_adv_kem ~seed:(sp.fa_seed ^ "/cal-adv")
     else (cal_client, cal_server)
   in
   (* one core per server: CPU-sustainable capacity of the whole farm *)
@@ -503,19 +490,6 @@ let run_farm_spec sp =
   let adv_launched = ref 0 and adv_completed = ref 0 in
   let adv_cb = ref 0 and adv_sb = ref 0 in
   let ben_cb = ref 0 and ben_sb = ref 0 in
-  let resumed_completed = ref 0 and early_bytes = ref 0 in
-  (* the whole client population shares one pre-minted ticket (every
-     server holds the same STEK), so resumption needs no issuing
-     handshake and no per-connection ticket state *)
-  let mixing = sp.fa_mix.Mix.resumed > 0. in
-  let ticket_key = sp.fa_seed ^ "/stek" in
-  let shared_session =
-    if mixing then
-      Some
-        (Tls.Handshake.mint_session ~config:benign_config ~ticket_key
-           ~rng:(Crypto.Drbg.fork root_rng "stek"))
-    else None
-  in
   let farm_config =
     { Netsim.Farm.servers = sp.fa_servers;
       max_concurrent = sp.fa_max_concurrent;
@@ -545,16 +519,7 @@ let run_farm_spec sp =
         Netsim.Host.charge_async server_host
           ~op:Pqc.Costs.connection_setup.Pqc.Costs.label
           ~ms:Pqc.Costs.connection_setup.Pqc.Costs.ms ~lib:"kernel";
-        let resume =
-          if
-            (not adversarial) && mixing
-            && Crypto.Drbg.float rng < sp.fa_mix.Mix.resumed
-          then shared_session
-          else None
-        in
-        Tls.Handshake.run ?resume
-          ~early_data:(resume <> None && sp.fa_mix.Mix.early_data)
-          ~ticket_key ~engine ~link ~tcp_config:Netsim.Tcp.default_config
+        Tls.Handshake.run ~engine ~link ~tcp_config:Netsim.Tcp.default_config
           ~client_host ~server_host
           ~config:(if adversarial then adv_config else benign_config)
           ~rng
@@ -570,8 +535,6 @@ let run_farm_spec sp =
               ben_cb := !ben_cb + cb;
               ben_sb := !ben_sb + sb
             end;
-            if r.Tls.Handshake.resumed then incr resumed_completed;
-            early_bytes := !early_bytes + r.Tls.Handshake.early_data_bytes;
             Netsim.Tcp.close r.Tls.Handshake.client_tcp;
             Netsim.Tcp.close r.Tls.Handshake.server_tcp;
             finished ())
@@ -627,9 +590,6 @@ let run_farm_spec sp =
     fo_server_ledger = merged_ledger;
     fo_per_server_completed =
       Array.to_list (Netsim.Farm.per_server_completed farm);
-    fo_mix_name = sp.fa_mix.Mix.name;
-    fo_resumed_completed = !resumed_completed;
-    fo_early_data_bytes = !early_bytes;
     fo_adv_launched = !adv_launched;
     fo_adv_completed = !adv_completed;
     fo_adv_client_bytes = !adv_cb;

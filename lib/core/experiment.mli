@@ -166,10 +166,6 @@ type farm_spec = {
       (** section 5.5 at scale: fraction of arrivals that are
           adversarial clients negotiating [fa_adv_kem] *)
   fa_adv_kem : Pqc.Kem.t;
-  fa_mix : Mix.t;
-      (** workload mix: benign arrivals resume (with a shared pre-minted
-          ticket) at the mix's resumed fraction; capacity is calibrated
-          under the same mix. Adversarial arrivals never resume. *)
   fa_seed : string;
 }
 
@@ -195,9 +191,6 @@ type farm_outcome = {
   fo_server_busy : float;  (** fraction of total server core-time busy *)
   fo_server_ledger : (string * float) list;
   fo_per_server_completed : int list;
-  fo_mix_name : string;
-  fo_resumed_completed : int;  (** completed connections that resumed *)
-  fo_early_data_bytes : int;  (** 0-RTT bytes accepted across the farm *)
   fo_adv_launched : int;
   fo_adv_completed : int;
   fo_adv_client_bytes : int;
@@ -221,7 +214,6 @@ val farm_spec :
   ?max_connections:int ->
   ?adv_fraction:float ->
   ?adv_kem:Pqc.Kem.t ->
-  ?mix:Mix.t ->
   ?seed:string ->
   Pqc.Kem.t ->
   Pqc.Sigalg.t ->
