@@ -586,51 +586,60 @@ type p_op = {
 
 type p_artifact = { q_seed : string; q_ops : p_op list }
 
+let ( let* ) = Result.bind
+let req what = Json.req "profile artifact" what
+
+(* identity and iteration plan are required; the measured leaves are
+   whatever numeric fields [time_ms] and [gc] carry *)
+let parse_op o =
+  let str k = req ("op " ^ k) (Json.to_str (Json.member k o)) in
+  let int k = req ("op " ^ k) (Json.to_int (Json.member k o)) in
+  let* name = str "name" in
+  let* group = str "group" in
+  let* alg = str "alg" in
+  let* kind = str "kind" in
+  let* samples = int "samples" in
+  let* batch = int "batch" in
+  let* warmup = int "warmup" in
+  let leaves prefix =
+    match Json.to_obj (Json.member prefix o) with
+    | None -> []
+    | Some fields ->
+        List.filter_map
+          (fun (k, v) ->
+            Option.map (fun f -> (prefix ^ "." ^ k, f)) (Json.to_float (Some v)))
+          fields
+  in
+  Ok
+    { q_name = name;
+      q_group = group;
+      q_alg = alg;
+      q_kind = kind;
+      q_samples = samples;
+      q_batch = batch;
+      q_warmup = warmup;
+      q_metrics = leaves "time_ms" @ leaves "gc" }
+
 let of_json_string s =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok j -> (
-      match Json.to_str (Json.member "schema" j) with
-      | Some v when v = schema_version ->
-          let seed =
-            Option.value ~default:"" (Json.to_str (Json.member "seed" j))
-          in
-          let parse_op o =
-            let str k =
-              Option.value ~default:"" (Json.to_str (Json.member k o))
-            in
-            let int k =
-              Option.value ~default:0 (Json.to_int (Json.member k o))
-            in
-            let leaves prefix =
-              match Json.to_obj (Json.member prefix o) with
-              | None -> []
-              | Some fields ->
-                  List.filter_map
-                    (fun (k, v) ->
-                      Option.map
-                        (fun f -> (prefix ^ "." ^ k, f))
-                        (Json.to_float (Some v)))
-                    fields
-            in
-            { q_name = str "name";
-              q_group = str "group";
-              q_alg = str "alg";
-              q_kind = str "kind";
-              q_samples = int "samples";
-              q_batch = int "batch";
-              q_warmup = int "warmup";
-              q_metrics = leaves "time_ms" @ leaves "gc" }
-          in
-          let ops =
-            Option.value ~default:[] (Json.to_list (Json.member "ops" j))
-          in
-          Ok { q_seed = seed; q_ops = List.map parse_op ops }
-      | Some v ->
-          Error
-            (Printf.sprintf "unsupported schema %S (expected %S)" v
-               schema_version)
-      | None -> Error "missing schema field")
+  let* j = Json.parse s in
+  match Json.to_str (Json.member "schema" j) with
+  | None -> Error "missing schema field"
+  | Some v when v <> schema_version ->
+      Error
+        (Printf.sprintf "unsupported schema %S (expected %S)" v schema_version)
+  | Some _ -> (
+      let* seed = req "seed" (Json.to_str (Json.member "seed" j)) in
+      let* ops = req "ops" (Json.to_list (Json.member "ops" j)) in
+      let* ops = Json.map_req parse_op ops in
+      (* ops match on name in [diff]: a repeated name would shadow one *)
+      let rec duplicate = function
+        | a :: (b :: _ as rest) -> if a = b then Some a else duplicate rest
+        | _ -> None
+      in
+      match duplicate (List.sort compare (List.map (fun q -> q.q_name) ops)) with
+      | Some name ->
+          Error (Printf.sprintf "profile artifact: duplicate op %S" name)
+      | None -> Ok { q_seed = seed; q_ops = ops })
 
 (* Of the measured leaves only the run-stable ones are judged: the
    median (robust to scheduler spikes, unlike mean/p99 over a handful of

@@ -153,7 +153,9 @@ type p_op = {
 type p_artifact = { q_seed : string; q_ops : p_op list }
 
 val of_json_string : string -> (p_artifact, string) result
-(** Rejects other schema versions and malformed documents. *)
+(** Rejects other schema versions and malformed documents: [seed],
+    [ops] and each op's name, group, alg, kind, samples, batch and
+    warmup are required, and op names must be unique. *)
 
 val diff : ?rel_tol:float -> p_artifact -> p_artifact -> string list
 (** Per-op regression issues between a baseline and a candidate, empty

@@ -430,6 +430,42 @@ let test_schema_version_guard () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must be rejected"
 
+(* one parser reads both cell kinds, and each kind still needs its own
+   identity keys: renaming any of them away is a schema error *)
+let test_identity_keys_required () =
+  let m = Metrics.create () in
+  Metrics.record_cell m
+    (Experiment.spec ~seed:"keys" (kem "x25519") (sa "rsa:2048"))
+    (Error "standard failure");
+  Metrics.record_farm_cell m
+    (Experiment.farm_spec ~seed:"keys" (kem "x25519") (sa "rsa:2048"))
+    (Error "farm failure");
+  let s = Metrics.to_json_string (Metrics.artifact m ~seed:"keys") in
+  let p = parse_artifact s in
+  Alcotest.(check (pair int int)) "one cell of each kind" (1, 1)
+    (List.length p.Metrics.p_cells, List.length p.Metrics.p_farm_cells);
+  Alcotest.(check bool) "farm cells are never standard" false
+    (List.hd p.Metrics.p_farm_cells).Metrics.p_standard;
+  let without key =
+    let needle = Printf.sprintf "\"%s\":" key in
+    let n = String.length needle in
+    let rec find i = if String.sub s i n = needle then i else find (i + 1) in
+    let i = find 0 in
+    String.sub s 0 (i + 1) ^ "_" ^ String.sub s (i + 1) (String.length s - i - 1)
+  in
+  List.iter
+    (fun (key, what) ->
+      match Metrics.of_json_string (without key) with
+      | Ok _ -> Alcotest.fail (key ^ " not required")
+      | Error e ->
+        Alcotest.(check string) (key ^ " required")
+          ("metrics artifact: missing or ill-typed " ^ what)
+          e)
+    [ ("buffering", "cell buffering");
+      ("standard", "cell standard");
+      ("profile", "farm cell profile");
+      ("policy", "farm cell policy") ]
+
 let suites =
   [ ( "metrics",
       [ Alcotest.test_case "stats: stddev" `Quick test_stats_stddev;
@@ -455,5 +491,7 @@ let suites =
         Alcotest.test_case "failed cells serialize and diff" `Quick
           test_failed_cells_in_artifact;
         Alcotest.test_case "against-paper gate" `Slow test_against_paper_gate;
+        Alcotest.test_case "parser requires identity keys per kind" `Quick
+          test_identity_keys_required;
         Alcotest.test_case "schema version guard" `Quick
           test_schema_version_guard ] ) ]

@@ -152,6 +152,56 @@ let test_diff_catches_changes () =
   | Ok _ -> Alcotest.fail "bogus schema accepted"
   | Error _ -> ()
 
+(* malformed artifacts are errors, never silently defaulted: an empty
+   op set would otherwise "agree" with itself, and nameless ops would
+   diff as bogus drift *)
+let test_parser_rejects_malformed () =
+  let a = Profile.run ~ops_filter:cheap ~seed:"profile-test" () in
+  let fields =
+    match Json.parse (Profile.to_json_string a) with
+    | Ok (Json.Obj fields) -> fields
+    | _ -> Alcotest.fail "artifact is not a JSON object"
+  in
+  let ops =
+    match List.assoc "ops" fields with
+    | Json.List ops -> ops
+    | _ -> Alcotest.fail "ops is not a list"
+  in
+  let doc fields = Json.to_string (Json.Obj fields) in
+  let with_ops ops =
+    doc (List.map (fun (k, v) -> if k = "ops" then (k, Json.List ops) else (k, v)) fields)
+  in
+  let rejects what ~mentions s =
+    match Profile.of_json_string s with
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+    | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S mentions %S" what e mentions)
+        true
+        (let n = String.length mentions in
+         let rec go i =
+           i + n <= String.length e && (String.sub e i n = mentions || go (i + 1))
+         in
+         go 0)
+  in
+  (match Profile.of_json_string (with_ops ops) with
+  | Ok p ->
+    Alcotest.(check int) "the rebuilt document parses" (List.length ops)
+      (List.length p.Profile.q_ops)
+  | Error e -> Alcotest.fail e);
+  rejects "no ops" ~mentions:"ops" (doc (List.remove_assoc "ops" fields));
+  rejects "no seed" ~mentions:"seed" (doc (List.remove_assoc "seed" fields));
+  List.iter
+    (fun key ->
+      let drop = function
+        | Json.Obj f -> Json.Obj (List.remove_assoc key f)
+        | o -> o
+      in
+      rejects ("ops without " ^ key) ~mentions:key (with_ops (List.map drop ops)))
+    [ "name"; "group"; "alg"; "kind"; "samples"; "batch"; "warmup" ];
+  rejects "a repeated op name" ~mentions:"duplicate"
+    (with_ops (List.hd ops :: ops))
+
 let test_renderings () =
   let a = Profile.run ~ops_filter:cheap ~seed:"profile-test" () in
   let table = Profile.render_table a in
@@ -190,5 +240,7 @@ let suites =
         Alcotest.test_case "JSON roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "diff catches drift and shape changes" `Quick
           test_diff_catches_changes;
+        Alcotest.test_case "parser rejects malformed artifacts" `Quick
+          test_parser_rejects_malformed;
         Alcotest.test_case "renderings" `Quick test_renderings ] )
   ]
