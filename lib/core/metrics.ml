@@ -5,8 +5,8 @@
    Two invariants keep the [--metrics] artifact useful as a regression
    gate:
 
-   - determinism: a cell's summary is a pure function of its outcome,
-     which is a pure function of its spec, so the serialized artifact is
+   - determinism: a cell's JSON is a pure function of its spec and
+     outcome, itself a pure function of the spec, so the artifact is
      byte-identical for any [--jobs] and for cache hits vs fresh
      executions. Volatile telemetry (wall time, cache hits) lives only
      in the registry and the stderr health summary, never in the
@@ -57,7 +57,8 @@ let dist ~seed xs =
    the artifact schema. Every bootstrap reseeds from [id ^ "/" ^ name],
    so a cell's JSON is a pure function of its spec and outcome. *)
 
-let json_of_dist d =
+let dist_json ~id name xs =
+  let d = dist ~seed:(id ^ "/" ^ name) xs in
   Json.Obj
     [ ("n", Json.Int d.d_n);
       ("mean", Json.Float d.d_mean);
@@ -70,8 +71,6 @@ let json_of_dist d =
       ("p99", Json.Float d.d_p99);
       ("ci95_lo", Json.Float d.d_ci_lo);
       ("ci95_hi", Json.Float d.d_ci_hi) ]
-
-let dist_json ~id name xs = json_of_dist (dist ~seed:(id ^ "/" ^ name) xs)
 
 let json_of_ledger l =
   Json.Obj (List.map (fun (lib, share) -> (lib, Json.Float share)) l)

@@ -4,10 +4,13 @@
     behind [pqtls-bench run --metrics], and the drift gates behind
     [pqtls-bench compare].
 
-    Determinism contract: cell summaries derive only from
-    {!Experiment.outcome} values, so the serialized artifact is
-    byte-identical for any [jobs] and whether cells executed or came
-    from the result cache. Volatile telemetry (wall clock, cache hits,
+    Each cell kind has one encoder, {!record_cell} or
+    {!record_farm_cell}, which writes the cell's JSON straight from its
+    spec and outcome; that encoder is the kind's artifact schema.
+
+    Determinism contract: a cell's JSON derives only from its spec and
+    outcome, so the serialized artifact is byte-identical for any
+    [jobs] and whether cells executed or came from the result cache. Volatile telemetry (wall clock, cache hits,
     pool occupancy) lives in the registry only and surfaces via
     {!Exec.health_summary}, never in the artifact. *)
 
@@ -33,7 +36,7 @@ val dist : seed:string -> float list -> dist
     interval a pure function of the data).
     @raise Invalid_argument on the empty list. *)
 
-(** {1 The registry} *)
+(** {1 The registry and the cell recorders} *)
 
 type t
 
@@ -61,33 +64,31 @@ val note_experiment : t -> string -> unit
 
 val record_cell :
   t -> Experiment.spec -> (Experiment.outcome, string) result -> unit
-(** Summarize one finished cell straight into its artifact JSON: its
-    identity (fingerprint [id], disambiguated label [key], kem, sig,
-    scenario, buffering, standardness — everything except
-    kem/sig/scenario/buffering/seed at the {!Experiment.spec} defaults,
-    the cells {!against_paper} may judge), then either [error] or the
-    [data] block of distribution summaries. Non-full {!Mix} cells gain
-    a [mix] key and a per-population [resumption] block, non-default
-    {!Tls.Chain_profile} cells a [chain] key and block; no other cell
-    carries them. Deduplicated on the spec fingerprint (first
-    recording wins), so call order — which {!Exec.cells} fixes to spec
-    order — fully determines the artifact. Labels shared by several
-    specs (ablation grids) get a deterministic [#k] suffix. *)
+(** Encode one finished cell: its identity keys (fingerprint [id],
+    label [key], kem, sig, scenario, buffering and [standard] — true
+    when everything except kem/sig/scenario/buffering/seed is at the
+    {!Experiment.spec} defaults), then [error] or the [data] block of
+    distribution summaries. Only non-full {!Mix} cells carry a [mix]
+    key and a [resumption] block, and only non-default
+    {!Tls.Chain_profile} cells a [chain] key and block. Deduplicated on
+    the spec fingerprint (first recording wins), so call order — which
+    {!Exec.cells} fixes to spec order — fully determines the artifact;
+    labels shared by several specs (ablation grids) get a
+    deterministic [#k] suffix. *)
 
 val record_farm_cell :
   t ->
   Experiment.farm_spec ->
   (Experiment.farm_outcome, string) result ->
   unit
-(** Farm-cell (Table 5) counterpart of {!record_cell}, sharing its
-    fingerprint dedup and label disambiguation; recorded by
-    {!Exec.farm_cells} in spec order. Its identity adds the workload
-    profile, balancer policy, utilization and adversarial fraction; its
-    data block holds load, latency, per-server, adversarial and
-    calibration figures. The artifact gains a [farm_cells] key only
-    when a farm cell was recorded, so artifacts of the other campaigns
-    stay byte-identical under the same schema version; parsers treat
-    the key as optional. *)
+(** The farm-cell (Table 5) encoder, sharing {!record_cell}'s
+    fingerprint dedup and [#k] labels; {!Exec.farm_cells} records in
+    spec order. Identity keys: id, key, kem, sig, scenario, workload
+    [profile], balancer [policy], [utilization], [adv_fraction]. The
+    [data] block holds load, latency, per-server, adversarial and
+    calibration figures. The artifact has a [farm_cells] key only when
+    a farm cell was recorded, so other campaigns' artifacts stay
+    byte-identical under the same schema version. *)
 
 val cell_count : t -> int
 (** Recorded cells of both kinds. *)
