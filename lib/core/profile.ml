@@ -636,7 +636,9 @@ let of_json_string s =
         | a :: (b :: _ as rest) -> if a = b then Some a else duplicate rest
         | _ -> None
       in
-      match duplicate (List.sort compare (List.map (fun q -> q.q_name) ops)) with
+      match
+        duplicate (List.sort String.compare (List.map (fun q -> q.q_name) ops))
+      with
       | Some name ->
           Error (Printf.sprintf "profile artifact: duplicate op %S" name)
       | None -> Ok { q_seed = seed; q_ops = ops })

@@ -171,36 +171,28 @@ let test_parser_rejects_malformed () =
   let with_ops ops =
     doc (List.map (fun (k, v) -> if k = "ops" then (k, Json.List ops) else (k, v)) fields)
   in
-  let rejects what ~mentions s =
+  let rejects problem s =
     match Profile.of_json_string s with
-    | Ok _ -> Alcotest.fail (what ^ " accepted")
+    | Ok _ -> Alcotest.fail (problem ^ ": accepted")
     | Error e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %S mentions %S" what e mentions)
-        true
-        (let n = String.length mentions in
-         let rec go i =
-           i + n <= String.length e && (String.sub e i n = mentions || go (i + 1))
-         in
-         go 0)
+      Alcotest.(check string) problem ("profile artifact: " ^ problem) e
   in
   (match Profile.of_json_string (with_ops ops) with
   | Ok p ->
     Alcotest.(check int) "the rebuilt document parses" (List.length ops)
       (List.length p.Profile.q_ops)
   | Error e -> Alcotest.fail e);
-  rejects "no ops" ~mentions:"ops" (doc (List.remove_assoc "ops" fields));
-  rejects "no seed" ~mentions:"seed" (doc (List.remove_assoc "seed" fields));
+  rejects "missing or ill-typed ops" (doc (List.remove_assoc "ops" fields));
+  rejects "missing or ill-typed seed" (doc (List.remove_assoc "seed" fields));
   List.iter
     (fun key ->
       let drop = function
         | Json.Obj f -> Json.Obj (List.remove_assoc key f)
         | o -> o
       in
-      rejects ("ops without " ^ key) ~mentions:key (with_ops (List.map drop ops)))
+      rejects ("missing or ill-typed op " ^ key) (with_ops (List.map drop ops)))
     [ "name"; "group"; "alg"; "kind"; "samples"; "batch"; "warmup" ];
-  rejects "a repeated op name" ~mentions:"duplicate"
-    (with_ops (List.hd ops :: ops))
+  rejects "duplicate op \"keygen kyber512\"" (with_ops (List.hd ops :: ops))
 
 let test_renderings () =
   let a = Profile.run ~ops_filter:cheap ~seed:"profile-test" () in
