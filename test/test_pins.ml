@@ -36,6 +36,43 @@ let mocked_kem name () =
   let ct, ss = k.encaps rng kp.public in
   [ ("keygen", digest [ kp.public; kp.secret ]); ("encaps", digest [ ct; ss ]) ]
 
+(* the public-key group: X25519, the NIST curves and RSA run on the
+   bignum kernels, so these pin keygen, agreement and signature bytes
+   across any rewrite of the field or group arithmetic *)
+let x25519 () =
+  let rng = rng "x25519" in
+  let a = Crypto.Drbg.generate rng 32 and b = Crypto.Drbg.generate rng 32 in
+  let pa = Crypto.X25519.public_of_secret a in
+  [ ("keygen", digest [ a; pa ]);
+    ("dh", digest [ Crypto.X25519.scalar_mult ~scalar:b ~point:pa ]) ]
+
+let ec c () =
+  let open Crypto in
+  let rng = rng c.Ec.name in
+  let encode (d, q) =
+    [ Bignum.to_bytes_be ~len:c.Ec.byte_size d; Ec.encode_point c q ]
+  in
+  let ((d, _) as kp) = Ec.gen_keypair c rng in
+  let ((_, q2) as kp2) = Ec.gen_keypair c rng in
+  [ ("keygen", digest (encode kp @ encode kp2));
+    ("ecdh", digest [ Ec.ecdh c d q2 ]);
+    ("sign",
+     digest
+       [ Ec.ecdsa_sign c rng ~key:d ~digest:(Sha256.digest "pinned message") ])
+  ]
+
+let rsa bits () =
+  let key = Crypto.Rsa_keys.fixed_key bits in
+  [ ("sign", digest [ Crypto.Rsa.sign_pkcs1_sha256 key "pinned message" ]) ]
+
+(* prime generation: Miller-Rabin runs on mod_pow *)
+let rsa_gen () =
+  let open Crypto in
+  let key = Rsa.gen (rng "rsa-gen-512") ~bits:512 in
+  [ ("keygen",
+     digest (List.map Bignum.to_bytes_be [ key.Rsa.p; key.Rsa.q; key.Rsa.d ]))
+  ]
+
 (* every encoder branch: a full standard cell, a failed cell, a label
    clash ([#2] key), a mix cell whose resumed population is empty (one
    sample: only the always-full first iteration runs), a non-default
@@ -104,6 +141,41 @@ let pins =
        "eff8db3e4d7359eb47363e319fb9771dc3633968abeb3deb727f590ba35d9200");
        ("encaps",
        "95475d252b16679500460de4efd22f946b15a82c6fca194f85b520b9797ae502") ]);
+    ("x25519", x25519,
+     [ ("keygen",
+       "fdb6cb3d0b227eef0154ba5f9763662448663cca0ec0ae40c7ee5fb6f6625bde");
+       ("dh",
+       "93b83bb1b0d900cd634e32c965c89380b05c89809f63b32488957a81ca341174") ]);
+    ("p256", ec Crypto.Ec.p256,
+     [ ("keygen",
+       "511135fb5c290e34fd17f291d4ae6faf2e3bb6a941842090607eced2a07eeb8e");
+       ("ecdh",
+       "d91d96a4cae3655e3a46979cabe371811e0d13c40c0f981d573c1fdc612f0770");
+       ("sign",
+       "8891cad4861e7bfb7c0094992ef363283ca8923bcff0a92fc8f1acf97de0bf54") ]);
+    ("p384", ec Crypto.Ec.p384,
+     [ ("keygen",
+       "82490590c24168bb5e9dc4601f6b5c9cc53be56a96a7d0fc563ae916740247ee");
+       ("ecdh",
+       "a4bd8dc4e901240fba138b072e8ebd8e47d06ba385bcce02f06f659660b69a27");
+       ("sign",
+       "54cb3397b0b26ff398e43f50ab24567656ee358362b07b78c9cfccfda768c82d") ]);
+    ("p521", ec Crypto.Ec.p521,
+     [ ("keygen",
+       "c0d90d28a09a5c090b2e8356e2abda05d79fff09bac7ad383715e5eef990a31c");
+       ("ecdh",
+       "065fdb53288c516154725d9d1b396a23e4c89f8fbaab25cc7c3762e48ce07059");
+       ("sign",
+       "036348de0d17ad0929de11c7ba12c298b204b8443a51dae7d20229cf718bca68") ]);
+    ("rsa:2048", rsa 2048,
+     [ ("sign",
+       "815695526f3bf4e7e548ea8aede8b5428fae7f55276877497ffa7f5a3c4f5366") ]);
+    ("rsa:3072", rsa 3072,
+     [ ("sign",
+       "d2fadbd125d12a46759c79adcc4ee58081b392b6a85c09ece6ef28d6b23d8134") ]);
+    ("rsa gen 512", rsa_gen,
+     [ ("keygen",
+       "a929101c51f33067eba07ab586ea955276734295a5b982540be7bc3644cde4ef") ]);
     ("metrics artifact", metrics_artifact,
      [ ("standard cells",
        "73815829bf00d44e06001fc52d20615e75ecdf8481c232b98ebbb371edd9d66a");

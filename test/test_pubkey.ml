@@ -18,6 +18,20 @@ let test_x25519_vectors () =
         "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
         "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957" ) ]
 
+(* RFC 7748 section 5.2: k = u = 9, then repeatedly k, u <- X25519(k, u), k *)
+let test_x25519_iterated () =
+  let k = ref X25519.base_point and u = ref X25519.base_point in
+  let after n want =
+    for _ = 1 to n do
+      let r = X25519.scalar_mult ~scalar:!k ~point:!u in
+      u := !k;
+      k := r
+    done;
+    Alcotest.(check string) "rfc7748 iterated" want (Bytesx.to_hex !k)
+  in
+  after 1 "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079";
+  after 999 "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
+
 let test_x25519_dh () =
   let rng = Drbg.create ~seed:"x25519" in
   for _ = 1 to 5 do
@@ -155,6 +169,7 @@ let prop_tests =
 let suites =
   [ ( "pubkey",
       [ Alcotest.test_case "x25519 rfc7748" `Quick test_x25519_vectors;
+        Alcotest.test_case "x25519 rfc7748 iterated" `Quick test_x25519_iterated;
         Alcotest.test_case "x25519 dh" `Quick test_x25519_dh;
         Alcotest.test_case "ec group laws" `Quick test_ec_group_laws;
         Alcotest.test_case "ecdh all curves" `Quick test_ecdh;
