@@ -131,7 +131,10 @@ let decode_point c s =
     let x = B.of_bytes_be (String.sub s 1 sz) in
     let y = B.of_bytes_be (String.sub s (1 + sz) sz) in
     let pt = Affine (x, y) in
-    if on_curve c pt then Some pt else None
+    (* SEC1 2.3.4: both coordinates must be field elements, not merely
+       congruent to one *)
+    let in_field v = B.compare v c.p < 0 in
+    if in_field x && in_field y && on_curve c pt then Some pt else None
   end
 
 let gen_keypair c rng =

@@ -29,7 +29,9 @@ val encode_point : curve -> point -> string
     @raise Invalid_argument on the point at infinity. *)
 
 val decode_point : curve -> string -> point option
-(** Parses an uncompressed point and checks it lies on the curve. *)
+(** Parses an uncompressed point and checks it lies on the curve. Both
+    coordinates must be below [p] (SEC1 2.3.4): a coordinate encoded as
+    its value plus [p] is rejected. *)
 
 val gen_keypair : curve -> Drbg.t -> Bignum.t * point
 (** [(d, Q = d*G)] with [d] uniform in [1, n). *)

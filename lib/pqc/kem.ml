@@ -30,6 +30,14 @@ let of_kyber params ~level =
     encaps = (fun rng pk -> Kyber.encaps params rng pk);
     decaps = (fun secret ct -> Kyber.decaps params secret ct) }
 
+(* RFC 8446 7.4.2: an all-zero X25519 result (a small-order peer
+   share) MUST abort the handshake *)
+let x25519_shared ~secret peer =
+  let ss = Crypto.X25519.scalar_mult ~scalar:secret ~point:peer in
+  if Crypto.Bytesx.equal_ct ss (String.make 32 '\000') then
+    invalid_arg "x25519: all-zero shared secret";
+  ss
+
 let x25519 =
   { name = "x25519";
     level = 1;
@@ -47,9 +55,8 @@ let x25519 =
       (fun rng peer_public ->
         let secret = Crypto.Drbg.generate rng 32 in
         let ct = Crypto.X25519.public_of_secret secret in
-        (ct, Crypto.X25519.scalar_mult ~scalar:secret ~point:peer_public));
-    decaps =
-      (fun secret ct -> Crypto.X25519.scalar_mult ~scalar:secret ~point:ct) }
+        (ct, x25519_shared ~secret peer_public));
+    decaps = (fun secret ct -> x25519_shared ~secret ct) }
 
 let of_ec_curve curve ~name ~level =
   let point_bytes = 1 + (2 * curve.Crypto.Ec.byte_size) in

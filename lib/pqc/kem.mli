@@ -31,6 +31,9 @@ type t = {
 
 val of_kyber : Kyber.params -> level:int -> t
 val x25519 : t
+(** [encaps] and [decaps] raise [Invalid_argument] when the shared secret
+    is all zero (a small-order peer share), as RFC 8446 7.4.2 requires. *)
+
 val of_ec_curve : Crypto.Ec.curve -> name:string -> level:int -> t
 
 val simulated :

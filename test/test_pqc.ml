@@ -207,6 +207,23 @@ let test_sim_suites () =
     (Invalid_argument "Sim_suites.kem_encaps: ct too short") (fun () ->
       ignore (Sim_suites.kem_encaps rng ~pk ~ct_len:16 ~ss_len:32))
 
+let test_x25519_small_order () =
+  let rng = Crypto.Drbg.create ~seed:"x25519-small-order" in
+  let k = Kem.x25519 in
+  let kp = k.Kem.keygen rng in
+  let rejected = Invalid_argument "x25519: all-zero shared secret" in
+  List.iter
+    (fun u ->
+      let share = String.make 1 (Char.chr u) ^ String.make 31 '\000' in
+      Alcotest.(check_raises) (Printf.sprintf "decaps u = %d" u) rejected
+        (fun () -> ignore (k.Kem.decaps kp.Kem.secret share));
+      Alcotest.(check_raises) (Printf.sprintf "encaps u = %d" u) rejected
+        (fun () -> ignore (k.Kem.encaps rng share)))
+    [ 0; 1 ];
+  let ct, ss = k.Kem.encaps rng kp.Kem.public in
+  Alcotest.(check string) "honest shares still agree" (Crypto.Bytesx.to_hex ss)
+    (Crypto.Bytesx.to_hex (k.Kem.decaps kp.Kem.secret ct))
+
 let suites =
   [ ( "pqc-zoo",
       [ Alcotest.test_case "registry counts and spellings" `Quick test_registry_counts;
@@ -217,4 +234,6 @@ let suites =
         Alcotest.test_case "mocked wrappers" `Quick test_mocked_wrappers;
         Alcotest.test_case "cost table coverage" `Quick test_costs_total;
         Alcotest.test_case "level grouping" `Quick test_levels;
-        Alcotest.test_case "sim suites" `Quick test_sim_suites ] ) ]
+        Alcotest.test_case "sim suites" `Quick test_sim_suites;
+        Alcotest.test_case "x25519 rejects small-order shares" `Quick
+          test_x25519_small_order ] ) ]

@@ -89,6 +89,46 @@ let test_ecdh () =
         (Ec.decode_point c (Bytes.to_string bad) = None))
     curves
 
+(* A point with a small x, so x + p still fits the coordinate width on
+   every curve. All three primes are 3 mod 4: sqrt(v) = v^((p+1)/4). *)
+let small_x_point c =
+  let p = c.Ec.p in
+  let sqrt_exp = Bignum.shift_right (Bignum.add p Bignum.one) 2 in
+  let rec go x =
+    let xb = Bignum.of_int x in
+    let rhs =
+      Bignum.mod_add
+        (Bignum.mod_sub (Bignum.mod_pow xb (Bignum.of_int 3) ~m:p)
+           (Bignum.mod_mul (Bignum.of_int 3) xb ~m:p) ~m:p)
+        c.Ec.b ~m:p
+    in
+    let y = Bignum.mod_pow rhs sqrt_exp ~m:p in
+    if Bignum.equal (Bignum.mod_mul y y ~m:p) rhs then (xb, y) else go (x + 1)
+  in
+  go 1
+
+let test_ec_noncanonical () =
+  List.iter
+    (fun (name, c) ->
+      let sz = c.Ec.byte_size in
+      let enc x y =
+        "\x04" ^ Bignum.to_bytes_be ~len:sz x ^ Bignum.to_bytes_be ~len:sz y
+      in
+      let x, y = small_x_point c in
+      Alcotest.(check bool) (name ^ " small-x point decodes") true
+        (Ec.decode_point c (enc x y) = Some (Ec.Affine (x, y)));
+      Alcotest.(check bool) (name ^ " x + p rejected") true
+        (Ec.decode_point c (enc (Bignum.add x c.Ec.p) y) = None))
+    curves;
+  (* P-521's 66-byte coordinates leave room for any y + p *)
+  let c = Ec.p521 in
+  let sz = c.Ec.byte_size in
+  Alcotest.(check bool) "p521 y + p rejected" true
+    (Ec.decode_point c
+       ("\x04" ^ Bignum.to_bytes_be ~len:sz c.Ec.gx
+       ^ Bignum.to_bytes_be ~len:sz (Bignum.add c.Ec.gy c.Ec.p))
+    = None)
+
 let test_ecdsa () =
   let rng = Drbg.create ~seed:"ecdsa" in
   List.iter
@@ -173,6 +213,8 @@ let suites =
         Alcotest.test_case "x25519 dh" `Quick test_x25519_dh;
         Alcotest.test_case "ec group laws" `Quick test_ec_group_laws;
         Alcotest.test_case "ecdh all curves" `Quick test_ecdh;
+        Alcotest.test_case "ec non-canonical coordinates" `Quick
+          test_ec_noncanonical;
         Alcotest.test_case "ecdsa all curves" `Quick test_ecdsa;
         Alcotest.test_case "rsa fixed keys" `Quick test_rsa;
         Alcotest.test_case "rsa keygen" `Slow test_rsa_keygen ]
