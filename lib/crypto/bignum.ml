@@ -1,9 +1,11 @@
 (* Little-endian base-2^26 limbs; the invariant is "no trailing zero limb",
    so zero is the empty array and [Array.length] orders magnitudes of equal
    top-limb count. 26-bit limbs keep every product and the Knuth-D trial
-   quotient inside 63-bit native ints. *)
+   quotient inside 63-bit native ints. Modular exponentiation by an odd
+   multi-limb modulus (RSA, Miller-Rabin) runs in Montgomery form; the
+   other modular helpers reduce by Knuth division. *)
 [@@@lint.kernel
-  "limb loops run to Array.length of the operand computed in the same function; normalization keeps every access below that bound"]
+  "limb loops run to Array.length of the operand computed in the same function; normalization keeps every access below that bound; Montgomery operands are widened to the modulus's n limbs and the scratch has n + 2"]
 
 
 let bits_per_limb = 26
@@ -253,9 +255,94 @@ let mod_add a b ~m =
 let mod_sub a b ~m = if compare a b >= 0 then sub a b else sub (add a m) b
 let mod_mul a b ~m = rem (mul a b) m
 
+(* Montgomery multiplication (CIOS) modulo an odd [m] of [n] limbs, with
+   R = 2^(26 n). Operands are [n]-limb arrays (zero-padded, not
+   normalized) below [m]; [t] is [n + 2] limbs of scratch. Every
+   intermediate is a limb sum plus a 52-bit product, well inside 63
+   bits. *)
+type mont = { m : t; n : int; m' : int; t : int array }
+
+let mont_ctx m =
+  (* m' = -m^-1 mod 2^26 by Newton iteration: each step doubles the
+     number of correct low bits, 1 -> 2 -> 4 -> 8 -> 16 -> 32 *)
+  let inv = ref 1 in
+  for _ = 1 to 5 do
+    inv := !inv * (2 - (m.(0) * !inv)) land limb_mask
+  done;
+  let n = Array.length m in
+  { m; n; m' = - !inv land limb_mask; t = Array.make (n + 2) 0 }
+
+(* a * b / R mod m, as a fresh [n]-limb array *)
+let mont_mul { m; n; m'; t } a b =
+  Array.fill t 0 (n + 2) 0;
+  for i = 0 to n - 1 do
+    let bi = b.(i) in
+    let c = ref 0 in
+    for j = 0 to n - 1 do
+      let s = Array.unsafe_get t j + (Array.unsafe_get a j * bi) + !c in
+      Array.unsafe_set t j (s land limb_mask);
+      c := s lsr bits_per_limb
+    done;
+    let s = t.(n) + !c in
+    t.(n) <- s land limb_mask;
+    t.(n + 1) <- s lsr bits_per_limb;
+    (* add q * m, which zeroes limb 0, and shift down one limb *)
+    let q = t.(0) * m' land limb_mask in
+    let c = ref ((t.(0) + (q * m.(0))) lsr bits_per_limb) in
+    for j = 1 to n - 1 do
+      let s = Array.unsafe_get t j + (q * Array.unsafe_get m j) + !c in
+      Array.unsafe_set t (j - 1) (s land limb_mask);
+      c := s lsr bits_per_limb
+    done;
+    let s = t.(n) + !c in
+    t.(n - 1) <- s land limb_mask;
+    t.(n) <- t.(n + 1) + (s lsr bits_per_limb)
+  done;
+  (* t < 2m: subtract m once if t >= m *)
+  let rec geq i = i < 0 || t.(i) > m.(i) || (t.(i) = m.(i) && geq (i - 1)) in
+  if t.(n) <> 0 || geq (n - 1) then begin
+    let r = Array.make n 0 and borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let d = t.(i) - m.(i) - !borrow in
+      r.(i) <- d land limb_mask;
+      borrow := -(d asr bits_per_limb)
+    done;
+    r
+  end
+  else Array.sub t 0 n
+
+(* fixed 4-bit window: 16 precomputed powers, then four squarings and one
+   multiplication per exponent nibble, most significant first *)
+let mont_pow b e ~m =
+  let ({ n; _ } as ctx) = mont_ctx m in
+  let widen a =
+    let r = Array.make n 0 in
+    Array.blit a 0 r 0 (Array.length a);
+    r
+  in
+  let to_mont a = widen (rem (shift_left a (n * bits_per_limb)) m) in
+  let table = Array.make 16 (to_mont one) in
+  table.(1) <- to_mont b;
+  for i = 2 to 15 do
+    table.(i) <- mont_mul ctx table.(i - 1) table.(1)
+  done;
+  let acc = ref table.(0) in
+  for w = ((bit_length e + 3) / 4) - 1 downto 0 do
+    for _ = 1 to 4 do
+      acc := mont_mul ctx !acc !acc
+    done;
+    let nibble = ref 0 in
+    for k = 3 downto 0 do
+      nibble := (!nibble lsl 1) lor Bool.to_int (testbit e ((4 * w) + k))
+    done;
+    acc := mont_mul ctx !acc table.(!nibble)
+  done;
+  normalize (mont_mul ctx !acc (widen one))
+
 let mod_pow b e ~m =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
+  else if Array.length m >= 2 && not (is_even m) then mont_pow b e ~m
   else begin
     let result = ref one and base_ = ref (rem b m) in
     let nbits = bit_length e in

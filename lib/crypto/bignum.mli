@@ -2,8 +2,8 @@
 
     Numbers are non-negative; base-2^26 limbs in native [int]s so that all
     intermediate products in multiplication and Knuth division fit 63-bit
-    arithmetic. This module backs the RSA, NIST-curve ECDH/ECDSA and
-    X25519 implementations. *)
+    arithmetic. This module backs the RSA and NIST-curve ECDH/ECDSA
+    implementations; X25519 has its own field kernel. *)
 
 type t
 
@@ -52,7 +52,9 @@ val mod_mul : t -> t -> m:t -> t
     [mod_sub]. *)
 
 val mod_pow : t -> t -> m:t -> t
-(** [mod_pow b e ~m] is [b^e mod m] by square-and-multiply. *)
+(** [mod_pow b e ~m] is [b^e mod m]. Odd moduli of two or more limbs
+    (above 2^26) multiply in Montgomery form with a fixed 4-bit window;
+    other moduli use binary square-and-multiply with division. *)
 
 val mod_inv : t -> m:t -> t
 (** Modular inverse by extended Euclid.
