@@ -106,16 +106,98 @@ let add c p1 p2 =
       Affine (x3, y3)
     end
 
-let scalar_mult c k pt =
-  let acc = ref Infinity and base = ref pt in
-  let bits = B.bit_length k in
-  for i = 0 to bits - 1 do
-    if B.testbit k i then acc := add c !acc !base;
-    if i < bits - 1 then base := double c !base
+(* Jacobian coordinates: (X, Y, Z) is the affine point (X/Z^2, Y/Z^3),
+   and Z = 0 is the point at infinity. Scalar multiplication stays in
+   this form and inverts once, at the end. Coordinates are kept reduced
+   mod p, which the mod_add/mod_sub helpers require. *)
+type jacobian = { x : B.t; y : B.t; z : B.t }
+
+let j_infinity = { x = B.one; y = B.one; z = B.zero }
+
+let of_affine = function
+  | Infinity -> j_infinity
+  | Affine (x, y) -> { x; y; z = B.one }
+
+let to_affine c { x; y; z } =
+  if B.is_zero z then Infinity
+  else begin
+    let m = c.p in
+    let zinv = B.mod_inv z ~m in
+    let zinv2 = B.mod_mul zinv zinv ~m in
+    Affine (B.mod_mul x zinv2 ~m, B.mod_mul y (B.mod_mul zinv2 zinv ~m) ~m)
+  end
+
+(* dbl-2001-b, valid because all three curves have a = -3 *)
+let j_double c { x; y; z } =
+  if B.is_zero z || B.is_zero y then j_infinity
+  else begin
+    let m = c.p in
+    let ( + ) a b = B.mod_add a b ~m
+    and ( - ) a b = B.mod_sub a b ~m
+    and ( * ) a b = B.mod_mul a b ~m in
+    let delta = z * z and gamma = y * y in
+    let beta = x * gamma in
+    let t = (x - delta) * (x + delta) in
+    let alpha = t + t + t in
+    let beta2 = beta + beta in
+    let beta4 = beta2 + beta2 in
+    let x3 = (alpha * alpha) - (beta4 + beta4) in
+    let z3 = ((y + z) * (y + z)) - gamma - delta in
+    let gamma2 = gamma * gamma in
+    let gamma4 = gamma2 + gamma2 in
+    let gamma8 = gamma4 + gamma4 in
+    { x = x3; y = (alpha * (beta4 - x3)) - (gamma8 + gamma8); z = z3 }
+  end
+
+(* add-1998-cmo-2; equal inputs fall back to doubling *)
+let j_add c p1 p2 =
+  if B.is_zero p1.z then p2
+  else if B.is_zero p2.z then p1
+  else begin
+    let m = c.p in
+    let ( - ) a b = B.mod_sub a b ~m and ( * ) a b = B.mod_mul a b ~m in
+    let z1z1 = p1.z * p1.z and z2z2 = p2.z * p2.z in
+    let u1 = p1.x * z2z2 and u2 = p2.x * z1z1 in
+    let s1 = p1.y * (p2.z * z2z2) and s2 = p2.y * (p1.z * z1z1) in
+    if B.equal u1 u2 then if B.equal s1 s2 then j_double c p1 else j_infinity
+    else begin
+      let h = u2 - u1 and r = s2 - s1 in
+      let hh = h * h in
+      let hhh = h * hh and v = u1 * hh in
+      let x3 = (r * r) - hhh - B.mod_add v v ~m in
+      { x = x3; y = (r * (v - x3)) - (s1 * hhh); z = p1.z * p2.z * h }
+    end
+  end
+
+(* left-to-right double-and-add over the bits of [k], adding [pick i]
+   after the doubling at bit [i]: one shared doubling chain for one or
+   more scalars *)
+let ladder c ~bits pick =
+  let acc = ref j_infinity in
+  for i = bits - 1 downto 0 do
+    acc := j_double c !acc;
+    match pick i with None -> () | Some q -> acc := j_add c !acc q
   done;
-  !acc
+  to_affine c !acc
+
+let scalar_mult c k pt =
+  let q = of_affine pt in
+  ladder c ~bits:(B.bit_length k) (fun i -> if B.testbit k i then Some q else None)
 
 let base_mult c k = scalar_mult c k (Affine (c.gx, c.gy))
+
+(* u1*G + u2*Q in one doubling chain (Shamir's trick) *)
+let double_mult c u1 u2 pub =
+  let g = of_affine (Affine (c.gx, c.gy)) and q = of_affine pub in
+  let gq = j_add c g q in
+  ladder c
+    ~bits:(max (B.bit_length u1) (B.bit_length u2))
+    (fun i ->
+      match (B.testbit u1 i, B.testbit u2 i) with
+      | true, true -> Some gq
+      | true, false -> Some g
+      | false, true -> Some q
+      | false, false -> None)
 
 let encode_point c = function
   | Infinity -> invalid_arg "Ec.encode_point: infinity"
@@ -182,7 +264,7 @@ let ecdsa_verify c ~pub ~digest signature =
       let z = B.rem (bits_of_digest c digest) c.n in
       let w = B.mod_inv s ~m:c.n in
       let u1 = B.mod_mul z w ~m:c.n and u2 = B.mod_mul r w ~m:c.n in
-      match add c (base_mult c u1) (scalar_mult c u2 pub) with
+      match double_mult c u1 u2 pub with
       | Infinity -> false
       | Affine (x, _) -> B.equal (B.rem x c.n) r
     end
