@@ -56,6 +56,37 @@ let test_primality () =
   Alcotest.(check int) "generated prime width" 96 (B.bit_length p);
   Alcotest.(check bool) "generated prime is prime" true (B.is_probable_prime rng p)
 
+(* the plain right-to-left square-and-multiply that mod_pow replaced for
+   odd multi-limb moduli, kept as the reference *)
+let ref_mod_pow b e ~m =
+  if B.equal m B.one then B.zero
+  else begin
+    let r = ref B.one and x = ref (B.rem b m) in
+    for i = 0 to B.bit_length e - 1 do
+      if B.testbit e i then r := B.mod_mul !r !x ~m;
+      x := B.mod_mul !x !x ~m
+    done;
+    !r
+  end
+
+let test_mod_pow_edges () =
+  let odd = B.of_hex "f123456789abcdef0123456789abcdef1" in
+  let even = B.add odd B.one in
+  let check name base e m =
+    Alcotest.check b name (ref_mod_pow base e ~m) (B.mod_pow base e ~m)
+  in
+  List.iter
+    (fun (mname, m) ->
+      check (mname ^ ": exponent 0") (B.of_int 7) B.zero m;
+      check (mname ^ ": base 0") B.zero (B.of_int 12345) m;
+      check (mname ^ ": base = m") m (B.of_int 3) m;
+      check (mname ^ ": base > m") (B.add (B.mul m m) B.two) (B.of_int 77) m;
+      check (mname ^ ": base m - 1") (B.sub m B.one) (B.of_int 77) m)
+    [ ("odd", odd); ("even", even); ("one limb", B.of_int 1000003);
+      ("2^26 + 1", B.of_int ((1 lsl 26) + 1)) ];
+  Alcotest.check b "m = 1" B.zero (B.mod_pow (B.of_int 5) (B.of_int 3) ~m:B.one);
+  Alcotest.check b "0^0 = 1" B.one (B.mod_pow B.zero B.zero ~m:odd)
+
 let small = QCheck.int_range 0 ((1 lsl 30) - 1)
 
 let qc name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:300 gen prop)
@@ -85,6 +116,19 @@ let prop_tests =
         ||
         let q, r = B.divmod a d in
         B.equal a (B.add (B.mul q d) r) && B.compare r d < 0);
+    (* odd moduli of 2 to 120 limbs take the Montgomery path; every
+       fourth is made even, and the base may exceed the modulus *)
+    QCheck_alcotest.to_alcotest
+    @@ QCheck.Test.make ~count:100 ~name:"mod_pow agrees with square-and-multiply"
+      QCheck.(pair small (int_range 2 120))
+      (fun (seed, limbs) ->
+        let rng = Drbg.create ~seed:("mod_pow/" ^ string_of_int seed) in
+        let bits = (26 * (limbs - 1)) + 1 + (seed mod 26) in
+        let m = B.add (B.random rng ~bits:(bits - 1)) (B.shift_left B.one (bits - 1)) in
+        let m = if B.is_even m = (seed mod 4 = 0) then m else B.add m B.one in
+        let b = B.random rng ~bits:(bits + (seed mod 3 * 8)) in
+        let e = B.random rng ~bits:(seed mod 257) in
+        B.equal (ref_mod_pow b e ~m) (B.mod_pow b e ~m));
     qc "modpow multiplicative"
       QCheck.(triple small small (int_range 3 100000))
       (fun (x, y, m) ->
@@ -99,5 +143,6 @@ let suites =
       [ Alcotest.test_case "basics" `Quick test_basics;
         Alcotest.test_case "division" `Quick test_division;
         Alcotest.test_case "modular" `Quick test_modular;
+        Alcotest.test_case "mod_pow edge cases" `Quick test_mod_pow_edges;
         Alcotest.test_case "primality" `Quick test_primality ]
       @ prop_tests ) ]

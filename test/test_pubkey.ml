@@ -188,6 +188,113 @@ let test_rsa_keygen () =
 
 let qc name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:20 gen prop)
 
+(* The RFC 7748 ladder over Bignum, as X25519 was before its field
+   kernel: the oracle the kernel must agree with. *)
+let x25519_oracle ~scalar ~point =
+  let module B = Bignum in
+  let p = B.sub (B.shift_left B.one 255) (B.of_int 19) in
+  let of_le s = B.of_bytes_be (String.init 32 (fun i -> s.[31 - i])) in
+  let k =
+    let b = Bytes.of_string scalar in
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) land 248));
+    Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) land 127 lor 64));
+    of_le (Bytes.to_string b)
+  in
+  let u =
+    let b = Bytes.of_string point in
+    Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) land 127));
+    B.rem (of_le (Bytes.to_string b)) p
+  in
+  let add a b = B.mod_add a b ~m:p
+  and sub a b = B.mod_sub a b ~m:p
+  and mul a b = B.mod_mul a b ~m:p in
+  let x2 = ref B.one and z2 = ref B.zero and x3 = ref u and z3 = ref B.one in
+  let swap = ref false in
+  let cswap cond =
+    if cond then begin
+      let t = !x2 in
+      x2 := !x3;
+      x3 := t;
+      let t = !z2 in
+      z2 := !z3;
+      z3 := t
+    end
+  in
+  for t = 254 downto 0 do
+    let kt = B.testbit k t in
+    cswap (!swap <> kt);
+    swap := kt;
+    let a = add !x2 !z2 and b = sub !x2 !z2 in
+    let aa = mul a a and bb = mul b b in
+    let e = sub aa bb in
+    let da = mul (sub !x3 !z3) a and cb = mul (add !x3 !z3) b in
+    x3 := mul (add da cb) (add da cb);
+    z3 := mul u (mul (sub da cb) (sub da cb));
+    x2 := mul aa bb;
+    z2 := mul e (add aa (mul (B.of_int 121665) e))
+  done;
+  cswap !swap;
+  let out = mul !x2 (B.mod_pow !z2 (B.sub p B.two) ~m:p) in
+  let be = B.to_bytes_be ~len:32 out in
+  String.init 32 (fun i -> be.[31 - i])
+
+(* u-coordinates the kernel must reduce: random, just below or at or
+   above p = 2^255 - 19 (non-canonical), each with or without bit 255 *)
+let x25519_u rng i =
+  let u =
+    match i mod 3 with
+    | 0 -> Drbg.generate rng 32
+    | v ->
+      let p = Bignum.sub (Bignum.shift_left Bignum.one 255) (Bignum.of_int 19) in
+      let off = Bignum.of_int (Char.code (Drbg.generate rng 1).[0] mod 19) in
+      let u = if v = 1 then Bignum.sub p (Bignum.add off Bignum.one) else Bignum.add p off in
+      let be = Bignum.to_bytes_be ~len:32 u in
+      String.init 32 (fun i -> be.[31 - i])
+  in
+  let b = Bytes.of_string u in
+  if i land 4 <> 0 then Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) lor 0x80));
+  Bytes.to_string b
+
+let ec_curve = QCheck.make ~print:(fun c -> c.Ec.name) (QCheck.Gen.oneofl [ Ec.p256; Ec.p384; Ec.p521 ])
+
+let scalar c seed tag = Bignum.random_below (Drbg.create ~seed:(Printf.sprintf "%s/%s/%d" c.Ec.name tag seed)) c.Ec.n
+
+let ec_props =
+  let open Ec in
+  let neg c = function
+    | Infinity -> Infinity
+    | Affine (x, y) -> Affine (x, Bignum.mod_sub Bignum.zero y ~m:c.p)
+  in
+  [ qc "ec (a+b)G = aG + bG" QCheck.(pair ec_curve small_nat) (fun (c, seed) ->
+        let a = scalar c seed "a" and b = scalar c seed "b" in
+        base_mult c (Bignum.add a b) = add c (base_mult c a) (base_mult c b));
+    qc "ec 2P = P + P = double P" QCheck.(pair ec_curve small_nat) (fun (c, seed) ->
+        let p = base_mult c (scalar c seed "p") in
+        let two_p = scalar_mult c Bignum.two p in
+        two_p = add c p p && two_p = double c p);
+    qc "ec P + (-P) = infinity" QCheck.(pair ec_curve small_nat) (fun (c, seed) ->
+        let a = scalar c seed "a" in
+        let p = base_mult c a in
+        add c p (neg c p) = Infinity
+        && base_mult c (Bignum.sub c.n a) = neg c p
+        && scalar_mult c (Bignum.add c.n Bignum.one) p = p);
+    (* keys 1 and n - 1 make Q = G and Q = -G, so verification's shared
+       chain adds G to itself (doubling) and to its negation *)
+    qc "ecdsa sign/verify round-trips" QCheck.(pair ec_curve small_nat) (fun (c, seed) ->
+        let rng = Drbg.create ~seed:(Printf.sprintf "ecdsa/%d" seed) in
+        let d =
+          match seed mod 4 with
+          | 0 -> Bignum.one
+          | 1 -> Bignum.sub c.n Bignum.one
+          | _ -> Bignum.add Bignum.one (scalar c seed "d")
+        in
+        let d = if Bignum.compare d c.n >= 0 then Bignum.one else d in
+        let q = base_mult c d in
+        let digest = Sha256.digest (string_of_int seed) in
+        let signature = ecdsa_sign c rng ~key:d ~digest in
+        ecdsa_verify c ~pub:q ~digest signature
+        && not (ecdsa_verify c ~pub:q ~digest:(Sha256.digest "other") signature)) ]
+
 let prop_tests =
   [ qc "x25519 ladder ignores high bit of u" QCheck.small_int (fun i ->
         let rng = Drbg.create ~seed:("hb" ^ string_of_int i) in
@@ -204,7 +311,12 @@ let prop_tests =
         let d, q = Ec.gen_keypair Ec.p256 rng in
         let digest = Sha256.digest m in
         Ec.ecdsa_verify Ec.p256 ~pub:q ~digest
-          (Ec.ecdsa_sign Ec.p256 rng ~key:d ~digest)) ]
+          (Ec.ecdsa_sign Ec.p256 rng ~key:d ~digest));
+    qc "x25519 kernel agrees with the bignum ladder" QCheck.small_nat (fun i ->
+        let rng = Drbg.create ~seed:("x25519-oracle" ^ string_of_int i) in
+        let scalar = Drbg.generate rng 32 and point = x25519_u rng i in
+        X25519.scalar_mult ~scalar ~point = x25519_oracle ~scalar ~point) ]
+  @ ec_props
 
 let suites =
   [ ( "pubkey",
