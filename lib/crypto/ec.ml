@@ -172,7 +172,7 @@ let j_add c p1 p2 =
 (* left-to-right double-and-add over the bits of [k], adding [pick i]
    after the doubling at bit [i]: one shared doubling chain for one or
    more scalars *)
-let ladder c ~bits pick =
+let double_and_add c ~bits pick =
   let acc = ref j_infinity in
   for i = bits - 1 downto 0 do
     acc := j_double c !acc;
@@ -182,7 +182,8 @@ let ladder c ~bits pick =
 
 let scalar_mult c k pt =
   let q = of_affine pt in
-  ladder c ~bits:(B.bit_length k) (fun i -> if B.testbit k i then Some q else None)
+  double_and_add c ~bits:(B.bit_length k) (fun i ->
+      if B.testbit k i then Some q else None)
 
 let base_mult c k = scalar_mult c k (Affine (c.gx, c.gy))
 
@@ -190,7 +191,7 @@ let base_mult c k = scalar_mult c k (Affine (c.gx, c.gy))
 let double_mult c u1 u2 pub =
   let g = of_affine (Affine (c.gx, c.gy)) and q = of_affine pub in
   let gq = j_add c g q in
-  ladder c
+  double_and_add c
     ~bits:(max (B.bit_length u1) (B.bit_length u2))
     (fun i ->
       match (B.testbit u1 i, B.testbit u2 i) with

@@ -1,5 +1,11 @@
 (** Short-Weierstrass elliptic curves (y^2 = x^3 + a x + b over F_p):
-    the NIST prime curves P-256, P-384 and P-521, with ECDH and ECDSA. *)
+    the NIST prime curves P-256, P-384 and P-521, with ECDH and ECDSA.
+
+    Points cross this interface in affine form. {!scalar_mult},
+    {!base_mult} and ECDSA run on Jacobian coordinates internally (the
+    a = -3 doubling formula, one inversion per scalar multiplication), and
+    {!ecdsa_verify} computes [u1*G + u2*Q] in one shared doubling chain.
+    {!add} and {!double} are the affine group law, one inversion each. *)
 
 type curve = {
   name : string;

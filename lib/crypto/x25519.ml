@@ -38,7 +38,8 @@ let carry h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
   let h1 = h1 + (h0 lsr 26) and h0 = h0 land mask26 in
   [| h0; h1; h2; h3; h4; h5; h6; h7; h8; h9 |]
 
-let add f g = carry
+let add f g =
+  carry
     (f.(0) + g.(0)) (f.(1) + g.(1)) (f.(2) + g.(2)) (f.(3) + g.(3))
     (f.(4) + g.(4)) (f.(5) + g.(5)) (f.(6) + g.(6)) (f.(7) + g.(7))
     (f.(8) + g.(8)) (f.(9) + g.(9))

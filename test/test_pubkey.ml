@@ -188,8 +188,8 @@ let test_rsa_keygen () =
 
 let qc name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:20 gen prop)
 
-(* The RFC 7748 ladder over Bignum, as X25519 was before its field
-   kernel: the oracle the kernel must agree with. *)
+(* The RFC 7748 ladder over generic Bignum field arithmetic: the oracle
+   the X25519 field kernel must agree with. *)
 let x25519_oracle ~scalar ~point =
   let module B = Bignum in
   let p = B.sub (B.shift_left B.one 255) (B.of_int 19) in
@@ -238,26 +238,38 @@ let x25519_oracle ~scalar ~point =
   let be = B.to_bytes_be ~len:32 out in
   String.init 32 (fun i -> be.[31 - i])
 
-(* u-coordinates the kernel must reduce: random, just below or at or
-   above p = 2^255 - 19 (non-canonical), each with or without bit 255 *)
+(* u-coordinates the kernel must reduce: random, just below p =
+   2^255 - 19, or at or above it (non-canonical); when bit 2 of [i] is
+   set, bit 255 is set too *)
 let x25519_u rng i =
   let u =
-    match i mod 3 with
-    | 0 -> Drbg.generate rng 32
-    | v ->
-      let p = Bignum.sub (Bignum.shift_left Bignum.one 255) (Bignum.of_int 19) in
+    if i mod 3 = 0 then Drbg.generate rng 32
+    else begin
+      let p =
+        Bignum.sub (Bignum.shift_left Bignum.one 255) (Bignum.of_int 19)
+      in
       let off = Bignum.of_int (Char.code (Drbg.generate rng 1).[0] mod 19) in
-      let u = if v = 1 then Bignum.sub p (Bignum.add off Bignum.one) else Bignum.add p off in
+      let u =
+        if i mod 3 = 1 then Bignum.sub p (Bignum.add off Bignum.one)
+        else Bignum.add p off
+      in
       let be = Bignum.to_bytes_be ~len:32 u in
       String.init 32 (fun i -> be.[31 - i])
+    end
   in
   let b = Bytes.of_string u in
-  if i land 4 <> 0 then Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) lor 0x80));
+  if i land 4 <> 0 then
+    Bytes.set b 31 (Char.chr (Char.code (Bytes.get b 31) lor 0x80));
   Bytes.to_string b
 
-let ec_curve = QCheck.make ~print:(fun c -> c.Ec.name) (QCheck.Gen.oneofl [ Ec.p256; Ec.p384; Ec.p521 ])
+let ec_curve =
+  QCheck.make ~print:(fun c -> c.Ec.name)
+    (QCheck.Gen.oneofl [ Ec.p256; Ec.p384; Ec.p521 ])
 
-let scalar c seed tag = Bignum.random_below (Drbg.create ~seed:(Printf.sprintf "%s/%s/%d" c.Ec.name tag seed)) c.Ec.n
+(* a scalar in [0, n) drawn from (curve, tag, seed) *)
+let scalar c seed tag =
+  let seed = Printf.sprintf "%s/%s/%d" c.Ec.name tag seed in
+  Bignum.random_below (Drbg.create ~seed) c.Ec.n
 
 let ec_props =
   let open Ec in
@@ -265,14 +277,15 @@ let ec_props =
     | Infinity -> Infinity
     | Affine (x, y) -> Affine (x, Bignum.mod_sub Bignum.zero y ~m:c.p)
   in
-  [ qc "ec (a+b)G = aG + bG" QCheck.(pair ec_curve small_nat) (fun (c, seed) ->
+  let on_curves name prop = qc name QCheck.(pair ec_curve small_nat) prop in
+  [ on_curves "ec (a+b)G = aG + bG" (fun (c, seed) ->
         let a = scalar c seed "a" and b = scalar c seed "b" in
         base_mult c (Bignum.add a b) = add c (base_mult c a) (base_mult c b));
-    qc "ec 2P = P + P = double P" QCheck.(pair ec_curve small_nat) (fun (c, seed) ->
+    on_curves "ec 2P = P + P = double P" (fun (c, seed) ->
         let p = base_mult c (scalar c seed "p") in
         let two_p = scalar_mult c Bignum.two p in
         two_p = add c p p && two_p = double c p);
-    qc "ec P + (-P) = infinity" QCheck.(pair ec_curve small_nat) (fun (c, seed) ->
+    on_curves "ec P + (-P) = infinity" (fun (c, seed) ->
         let a = scalar c seed "a" in
         let p = base_mult c a in
         add c p (neg c p) = Infinity
@@ -280,20 +293,23 @@ let ec_props =
         && scalar_mult c (Bignum.add c.n Bignum.one) p = p);
     (* keys 1 and n - 1 make Q = G and Q = -G, so verification's shared
        chain adds G to itself (doubling) and to its negation *)
-    qc "ecdsa sign/verify round-trips" QCheck.(pair ec_curve small_nat) (fun (c, seed) ->
+    on_curves "ecdsa sign/verify round-trips" (fun (c, seed) ->
         let rng = Drbg.create ~seed:(Printf.sprintf "ecdsa/%d" seed) in
         let d =
           match seed mod 4 with
           | 0 -> Bignum.one
           | 1 -> Bignum.sub c.n Bignum.one
-          | _ -> Bignum.add Bignum.one (scalar c seed "d")
+          | _ ->
+            let d = scalar c seed "d" in
+            if Bignum.is_zero d then Bignum.one else d
         in
-        let d = if Bignum.compare d c.n >= 0 then Bignum.one else d in
         let q = base_mult c d in
         let digest = Sha256.digest (string_of_int seed) in
         let signature = ecdsa_sign c rng ~key:d ~digest in
         ecdsa_verify c ~pub:q ~digest signature
-        && not (ecdsa_verify c ~pub:q ~digest:(Sha256.digest "other") signature)) ]
+        && not
+             (ecdsa_verify c ~pub:q ~digest:(Sha256.digest "other") signature))
+  ]
 
 let prop_tests =
   [ qc "x25519 ladder ignores high bit of u" QCheck.small_int (fun i ->
@@ -321,7 +337,8 @@ let prop_tests =
 let suites =
   [ ( "pubkey",
       [ Alcotest.test_case "x25519 rfc7748" `Quick test_x25519_vectors;
-        Alcotest.test_case "x25519 rfc7748 iterated" `Quick test_x25519_iterated;
+        Alcotest.test_case "x25519 rfc7748 iterated" `Quick
+          test_x25519_iterated;
         Alcotest.test_case "x25519 dh" `Quick test_x25519_dh;
         Alcotest.test_case "ec group laws" `Quick test_ec_group_laws;
         Alcotest.test_case "ecdh all curves" `Quick test_ecdh;
