@@ -1,11 +1,10 @@
-(* RFC 7748 X25519 on a dedicated GF(2^255 - 19) kernel. X25519 runs in
-   every classical and hybrid x25519 handshake, so the field is ref10's
-   unsaturated radix 2^25.5: ten non-negative limbs of alternately 26 and
-   25 bits, limb i weighing 2^ceil(25.5 i). A carried limb is at most
-   2^26 (even i) or 2^25 + 2^14 (odd i), so a product sums ten terms of at
-   most 38 * 2^52 and every intermediate stays below 2^60, inside a 63-bit
-   OCaml int (51-bit limbs would need 128-bit products). Every field
-   operation returns a carried element. *)
+(* RFC 7748 X25519 on its own GF(2^255 - 19) kernel: ref10's unsaturated
+   radix 2^25.5, ten non-negative limbs of alternately 26 and 25 bits,
+   limb i weighing 2^ceil(25.5 i). Every field operation returns a
+   carried element, whose limbs are at most 2^26 (even i) or 2^25 + 2^14
+   (odd i). A product coefficient then sums ten terms of at most
+   19 * 2^52 and stays below 2^60, inside a 63-bit OCaml int; the 51-bit
+   limbs of 64-bit C implementations would need 128-bit products. *)
 [@@@lint.kernel
   "all buffers are fixed 32-byte keys allocated locally; unsafe_to_string covers bytes that never escape mutably"]
 
