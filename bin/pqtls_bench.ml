@@ -1,10 +1,10 @@
 (* Command-line driver mirroring the paper's experiment.py (Appendix B):
 
      pqtls-bench list
+     pqtls-bench list kas              # level and wire sizes per algorithm
      pqtls-bench run all-kem all-sig -o out/
      pqtls-bench handshake --kem kyber768 --sig dilithium3 --scenario lte-m
      pqtls-bench trace kyber512 dilithium2 --format chrome -o trace.json
-     pqtls-bench algorithms
 *)
 
 open Cmdliner
@@ -66,8 +66,9 @@ let list_cmd =
       & pos 0 (enum whats) `Experiments
       & info [] ~docv:"WHAT"
           ~doc:
-            "What to list: $(b,experiments) (default), $(b,kas), \
-             $(b,sas), $(b,scenarios), $(b,workloads), $(b,mixes), \
+            "What to list: $(b,experiments) (default), $(b,kas) or \
+             $(b,sas) (security level, wire sizes, hybrid flag), \
+             $(b,scenarios), $(b,workloads), $(b,mixes), \
              $(b,chains), or $(b,ops) (the profiled-primitive registry \
              behind $(b,profile)).")
   in
@@ -102,7 +103,12 @@ let list_cmd =
                            Core.Catalog.aliases) ) ])
               Core.Catalog.names))
     | `Kas, false ->
-      List.iter (fun (k : Pqc.Kem.t) -> print_endline k.name) Pqc.Registry.kems
+      List.iter
+        (fun (k : Pqc.Kem.t) ->
+          Printf.printf "L%d %-18s pk %6d B  ct %6d B%s\n" k.level k.name
+            k.public_key_bytes k.ciphertext_bytes
+            (if k.hybrid then "  (hybrid)" else ""))
+        Pqc.Registry.kems
     | `Kas, true ->
       emit
         (List
@@ -116,7 +122,12 @@ let list_cmd =
                     ("ciphertext_bytes", Int k.ciphertext_bytes) ])
               Pqc.Registry.kems))
     | `Sas, false ->
-      List.iter (fun (s : Pqc.Sigalg.t) -> print_endline s.name) Pqc.Registry.sigs
+      List.iter
+        (fun (s : Pqc.Sigalg.t) ->
+          Printf.printf "L%d %-18s pk %6d B  sig %6d B%s\n" s.level s.name
+            s.public_key_bytes s.signature_bytes
+            (if s.hybrid then "  (hybrid)" else ""))
+        Pqc.Registry.sigs
     | `Sas, true ->
       emit
         (List
@@ -769,29 +780,6 @@ let compare_profile_cmd =
           only compare artifacts from comparable machines.")
     Term.(const run $ rel_tol_arg $ files)
 
-(* ---- algorithms ------------------------------------------------------------ *)
-
-let algorithms_cmd =
-  let run () =
-    Printf.printf "Key agreements (%d):\n" (List.length Pqc.Registry.kems);
-    List.iter
-      (fun (k : Pqc.Kem.t) ->
-        Printf.printf "  L%d %-18s pk %6d B  ct %6d B%s\n" k.level k.name
-          k.public_key_bytes k.ciphertext_bytes
-          (if k.hybrid then "  (hybrid)" else ""))
-      Pqc.Registry.kems;
-    Printf.printf "Signature algorithms (%d):\n" (List.length Pqc.Registry.sigs);
-    List.iter
-      (fun (s : Pqc.Sigalg.t) ->
-        Printf.printf "  L%d %-18s pk %6d B  sig %6d B%s\n" s.level s.name
-          s.public_key_bytes s.signature_bytes
-          (if s.hybrid then "  (hybrid)" else ""))
-      Pqc.Registry.sigs
-  in
-  Cmd.v
-    (Cmd.info "algorithms" ~doc:"List every algorithm with its wire sizes.")
-    Term.(const run $ const ())
-
 let () =
   let info =
     Cmd.info "pqtls-bench"
@@ -801,4 +789,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; compare_cmd; handshake_cmd; trace_cmd;
-            profile_cmd; compare_profile_cmd; algorithms_cmd ]))
+            profile_cmd; compare_profile_cmd ]))

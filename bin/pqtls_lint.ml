@@ -1,6 +1,6 @@
 (* pqtls-lint — the determinism & constant-time analysis gate.
 
-     pqtls-lint check                 # lib bin test, text report
+     pqtls-lint check                 # lib bin perfbench test, text report
      pqtls-lint check lib/crypto --rule C1
      pqtls-lint check --format json   # CI artifact
      pqtls-lint check --format sarif  # GitHub code scanning
@@ -12,10 +12,12 @@
 
 open Cmdliner
 
-let default_paths = [ "lib"; "bin"; "test" ]
+let default_paths = [ "lib"; "bin"; "perfbench"; "test" ]
 
 let paths_arg =
-  let doc = "Files or directories to check (default: lib bin test)." in
+  let doc =
+    "Files or directories to check (default: lib bin perfbench test)."
+  in
   Arg.(value & pos_all string default_paths & info [] ~docv:"PATH" ~doc)
 
 let format_arg =
@@ -155,7 +157,7 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph"
        ~doc:
-         "Dump the call graph the dataflow rules (C2, S2) compute, for \
+         "Dump the call graph the dataflow rules (C2, S2, R1) compute, for \
           debugging the analysis.")
     Term.(const run $ paths_arg $ dot_arg)
 

@@ -12,7 +12,8 @@ type row = {
   amplification : float;  (** server bytes sent / client bytes sent *)
 }
 
-val measure : ?seed:string -> Pqc.Kem.t -> Pqc.Sigalg.t -> row
+val row_of : Pqc.Kem.t -> Pqc.Sigalg.t -> Experiment.outcome -> row
+(** The two asymmetries of one pair's campaign outcome. *)
 
 val survey : ?seed:string -> ?exec:Exec.t -> unit -> row list
 (** Every SA against the x25519 baseline plus the white-box pairs;

@@ -469,6 +469,8 @@ let json_of ~shape_only a =
 
 let to_json_string a = Json.to_string (json_of ~shape_only:false a)
 let shape_json_string a = Json.to_string (json_of ~shape_only:true a)
+[@@lint.allow "R1" "observer for the profile test: artifact shape \
+                    deterministic across jobs"]
 
 (* --- rendering ---------------------------------------------------- *)
 

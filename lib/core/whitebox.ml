@@ -45,8 +45,6 @@ let rows ?seed ?(exec = Exec.sequential) pairs =
     (fun p r -> match r with Ok o -> Some (row_of p o) | Error _ -> None)
     pairs results
 
-let measure ?seed pair = row_of pair (Experiment.run_spec (spec_of ?seed pair))
-
 let table ?seed ?exec () = rows ?seed ?exec paper_pairs
 
 (* Trace-vs-ledger cross-check: the ledger is written by Host.charge and

@@ -228,6 +228,3 @@ let squeeze s n =
   Bytes.unsafe_to_string out
 
 let ctr_keystream key ~nonce n = squeeze (ctr_stream key ~nonce) n
-
-let ctr_encrypt key ~nonce msg =
-  Bytesx.xor msg (ctr_keystream key ~nonce (String.length msg))

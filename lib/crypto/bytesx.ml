@@ -90,10 +90,6 @@ let set_u64_be b off v =
   set_u32_be b off (Int64.to_int (Int64.shift_right_logical v 32) land 0xffffffff);
   set_u32_be b (off + 4) (Int64.to_int v land 0xffffffff)
 
-let set_u64_le b off v =
-  set_u32_le b off (Int64.to_int v land 0xffffffff);
-  set_u32_le b (off + 4) (Int64.to_int (Int64.shift_right_logical v 32) land 0xffffffff)
-
 let u16_be v =
   String.init 2 (fun i -> Char.chr ((v lsr (8 * (1 - i))) land 0xff))
 
@@ -109,5 +105,3 @@ let u64_be v =
   Bytes.unsafe_to_string b
 
 let concat = String.concat ""
-let repeat c n = String.make n c
-let sub = String.sub

@@ -26,7 +26,6 @@ val get_u64_le : string -> int -> int64
 val set_u32_be : Bytes.t -> int -> int -> unit
 val set_u32_le : Bytes.t -> int -> int -> unit
 val set_u64_be : Bytes.t -> int -> int64 -> unit
-val set_u64_le : Bytes.t -> int -> int64 -> unit
 
 val u16_be : int -> string
 val u24_be : int -> string
@@ -36,9 +35,3 @@ val u64_be : int64 -> string
 
 val concat : string list -> string
 (** Alias of [String.concat ""]. *)
-
-val repeat : char -> int -> string
-(** [repeat c n] is [n] copies of [c]. *)
-
-val sub : string -> int -> int -> string
-(** [sub s off len] with the usual bounds checks. *)

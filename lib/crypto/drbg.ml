@@ -2,7 +2,6 @@ type t = { seed : string; xof : Keccak.Xof.t }
 
 let create ~seed = { seed; xof = Keccak.Xof.shake256 ("drbg:" ^ seed) }
 let generate t n = Keccak.Xof.squeeze t.xof n
-let byte t = Char.code (generate t 1).[0]
 
 let uniform t n =
   if n <= 0 then invalid_arg "Drbg.uniform";

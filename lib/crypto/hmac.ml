@@ -9,14 +9,6 @@ let sha256 =
   { name = "SHA-256"; digest_size = 32; block_size = 64;
     digest = Sha256.digest }
 
-let sha384 =
-  { name = "SHA-384"; digest_size = 48; block_size = 128;
-    digest = Sha512.digest_384 }
-
-let sha512 =
-  { name = "SHA-512"; digest_size = 64; block_size = 128;
-    digest = Sha512.digest }
-
 let hmac h ~key msg =
   let key =
     if String.length key > h.block_size then h.digest key else key

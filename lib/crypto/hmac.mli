@@ -6,11 +6,9 @@ type hash = {
   block_size : int;
   digest : string -> string;
 }
-(** A one-shot hash description; see {!sha256} and {!sha384}. *)
+(** A one-shot hash description; see {!sha256}. *)
 
 val sha256 : hash
-val sha384 : hash
-val sha512 : hash
 
 val hmac : hash -> key:string -> string -> string
 (** [hmac h ~key msg] is HMAC-H(key, msg). *)

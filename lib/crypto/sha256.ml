@@ -1,4 +1,4 @@
-(* FIPS 180-4 SHA-256/224. 32-bit words live in native ints masked to
+(* FIPS 180-4 SHA-256. 32-bit words live in native ints masked to
    [0, 2^32). *)
 [@@@lint.kernel
   "message-schedule and state arrays are fixed-size (64/8); unsafe_to_string covers freshly created buffers that never escape mutably"]
@@ -22,24 +22,16 @@ type ctx = {
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total bytes absorbed *)
-  out_len : int; (* 32 for SHA-256, 28 for SHA-224 *)
   w : int array; (* message schedule scratch *)
 }
 
-let iv_256 =
+let iv =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
      0x1f83d9ab; 0x5be0cd19 |]
 
-let iv_224 =
-  [| 0xc1059ed8; 0x367cd507; 0x3070dd17; 0xf70e5939; 0xffc00b31; 0x68581511;
-     0x64f98fa7; 0xbefa4fa4 |]
-
-let make iv out_len =
-  { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0; out_len;
+let init () =
+  { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0;
     w = Array.make 64 0 }
-
-let init () = make iv_256 32
-let init_224 () = make iv_224 28
 
 let copy c =
   { c with h = Array.copy c.h; buf = Bytes.copy c.buf; w = Array.make 64 0 }
@@ -129,18 +121,13 @@ let get ctx =
   Bytesx.set_u64_be pad (pad_len - 8) bit_len;
   feed c (Bytes.unsafe_to_string pad);
   assert (c.buf_len = 0);
-  let out = Bytes.create c.out_len in
-  for i = 0 to (c.out_len / 4) - 1 do
+  let out = Bytes.create 32 in
+  for i = 0 to 7 do
     Bytesx.set_u32_be out (4 * i) c.h.(i)
   done;
   Bytes.unsafe_to_string out
 
 let digest s =
   let c = init () in
-  feed c s;
-  get c
-
-let digest_224 s =
-  let c = init_224 () in
   feed c s;
   get c

@@ -1,4 +1,4 @@
-(* FIPS 180-4 SHA-512/384 on Int64 lanes. *)
+(* FIPS 180-4 SHA-512 on Int64 lanes. *)
 [@@@lint.kernel
   "message-schedule and state arrays are fixed-size (80/8); unsafe_to_string covers freshly created buffers that never escape mutably"]
 
@@ -37,26 +37,17 @@ type ctx = {
   buf : Bytes.t; (* 128-byte block *)
   mutable buf_len : int;
   mutable total : int;
-  out_len : int;
   w : int64 array;
 }
 
-let iv_512 =
+let iv =
   [| 0x6a09e667f3bcc908L; 0xbb67ae8584caa73bL; 0x3c6ef372fe94f82bL;
      0xa54ff53a5f1d36f1L; 0x510e527fade682d1L; 0x9b05688c2b3e6c1fL;
      0x1f83d9abfb41bd6bL; 0x5be0cd19137e2179L |]
 
-let iv_384 =
-  [| 0xcbbb9d5dc1059ed8L; 0x629a292a367cd507L; 0x9159015a3070dd17L;
-     0x152fecd8f70e5939L; 0x67332667ffc00b31L; 0x8eb44a8768581511L;
-     0xdb0c2e0d64f98fa7L; 0x47b5481dbefa4fa4L |]
-
-let make iv out_len =
+let init () =
   { h = Array.copy iv; buf = Bytes.create 128; buf_len = 0; total = 0;
-    out_len; w = Array.make 80 0L }
-
-let init () = make iv_512 64
-let init_384 () = make iv_384 48
+    w = Array.make 80 0L }
 
 let copy c =
   { c with h = Array.copy c.h; buf = Bytes.copy c.buf; w = Array.make 80 0L }
@@ -149,18 +140,13 @@ let get ctx =
   Bytesx.set_u64_be pad (pad_len - 8) bit_len;
   feed c (Bytes.unsafe_to_string pad);
   assert (c.buf_len = 0);
-  let out = Bytes.create c.out_len in
-  for i = 0 to (c.out_len / 8) - 1 do
+  let out = Bytes.create 64 in
+  for i = 0 to 7 do
     Bytesx.set_u64_be out (8 * i) c.h.(i)
   done;
   Bytes.unsafe_to_string out
 
 let digest s =
   let c = init () in
-  feed c s;
-  get c
-
-let digest_384 s =
-  let c = init_384 () in
   feed c s;
   get c

@@ -9,8 +9,6 @@
   "all buffers are fixed 32-byte keys allocated locally; unsafe_to_string covers bytes that never escape mutably"]
 
 
-let key_size = 32
-
 let base_point =
   let b = Bytes.make 32 '\000' in
   Bytes.set b 0 '\x09';

@@ -2,28 +2,44 @@ open Parsetree
 
 type t = { cg_edges : (string, string list) Hashtbl.t }
 
-(* Every identifier occurrence in the body counts as an edge, not just
-   application heads: a function passed as a value to [Pool.map] or
-   [List.iter] is still called. *)
+(* Every identifier occurrence in the whole bound expression counts as
+   an edge, not just application heads: a function passed as a value to
+   [Pool.map] or [List.iter] is still called, and so is one named in an
+   optional argument's default. Binding operators ([let*]) are calls of
+   the operator, and a local [let open M] scopes its body. *)
 let def_callees syms (d : Symtab.def) =
-  let acc = ref [] in
+  let acc = ref [] and opens = ref [] in
+  let add dotted =
+    match
+      Symtab.resolve syms ~file:d.Symtab.d_file ~scope:d.Symtab.d_scope
+        ~opens:!opens (Walk.strip_stdlib dotted)
+    with
+    | Some q when q <> d.Symtab.d_qual -> acc := q :: !acc
+    | _ -> ()
+  in
   let super = Ast_iterator.default_iterator in
   let iter =
     { super with
       expr =
         (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; _ } -> (
-            let dotted =
-              Walk.strip_stdlib (String.concat "." (Longident.flatten txt))
-            in
-            match Symtab.resolve syms ~file:d.Symtab.d_file dotted with
-            | Some q when q <> d.Symtab.d_qual -> acc := q :: !acc
-            | _ -> ())
-          | _ -> ());
-          super.expr self e) }
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ } ->
+            add (String.concat "." (Longident.flatten txt))
+          | Pexp_letop { let_; ands; _ } ->
+            List.iter
+              (fun (op : binding_op) -> add op.pbop_op.Asttypes.txt)
+              (let_ :: ands);
+            super.expr self e
+          | Pexp_open
+              ( { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ },
+                body ) ->
+            let saved = !opens in
+            opens := String.concat "." (Longident.flatten txt) :: saved;
+            self.expr self body;
+            opens := saved
+          | _ -> super.expr self e) }
   in
-  iter.Ast_iterator.expr iter d.Symtab.d_body;
+  iter.Ast_iterator.expr iter d.Symtab.d_expr;
   List.sort_uniq String.compare !acc
 
 let build syms =
@@ -76,7 +92,7 @@ let pool_roots syms =
               | _ -> ());
               super.expr self e) }
       in
-      iter.Ast_iterator.expr iter d.Symtab.d_body;
+      iter.Ast_iterator.expr iter d.Symtab.d_expr;
       if !found then Some d.Symtab.d_qual else None)
     (Symtab.defs syms)
 

@@ -1,9 +1,11 @@
 (** Intra-tree call graph over [Symtab] definitions.
 
-    An edge [caller -> callee] exists when the body of [caller]
-    mentions an identifier that resolves to [callee] — including
-    function values passed to higher-order combinators, so closures
-    handed to [Pool.map] or [List.iter] keep their call edges. *)
+    An edge [caller -> callee] exists when the bound expression of
+    [caller] (optional-argument defaults included) mentions an
+    identifier, or a binding operator such as [let*], that resolves to
+    [callee] — including function values passed to higher-order
+    combinators, so closures handed to [Pool.map] or [List.iter] keep
+    their call edges. *)
 
 type t
 

@@ -5,7 +5,9 @@ open Parsetree
    any store into toplevel mutable state performed by a function
    reachable from a [Pool.map] task site races across domains unless it
    happens inside [Mutex.protect] (atomics are exempt — they are safe
-   by construction and never enter the mutable set). *)
+   by construction and never enter the mutable set). A function's
+   optional-argument defaults run on the caller's domain, so they are
+   scanned with its body. *)
 
 let creators =
   [ "ref";
@@ -84,7 +86,8 @@ let check sources =
           match Walk.ident e with
           | Some dotted -> (
             match
-              Symtab.resolve syms ~file:d.Symtab.d_file dotted
+              Symtab.resolve syms ~file:d.Symtab.d_file
+                ~scope:d.Symtab.d_scope dotted
             with
             | Some q when Hashtbl.mem mutables q -> Some q
             | _ -> None)
@@ -129,7 +132,7 @@ let check sources =
                 | _ -> ());
                 super.expr self e) }
         in
-        iter.Ast_iterator.expr iter d.Symtab.d_body;
+        iter.Ast_iterator.expr iter d.Symtab.d_expr;
         List.rev !writes
         |> List.filter_map (fun (loc, q) ->
                if List.exists (fun g -> within g loc) !guards then None

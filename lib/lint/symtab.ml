@@ -7,6 +7,8 @@ type def = {
   d_name : string;
   d_params : string list;
   d_body : expression;
+  d_expr : expression;
+  d_scope : string;
   d_loc : Location.t;
   d_file : string;
 }
@@ -14,6 +16,7 @@ type def = {
 type t = {
   t_defs : (string, def) Hashtbl.t;
   t_aliases : (string, (string, string) Hashtbl.t) Hashtbl.t;
+  t_opens : (string, string list) Hashtbl.t;
   t_libs : (string, unit) Hashtbl.t;
   t_file_scope : (string, string * string) Hashtbl.t;
 }
@@ -59,6 +62,7 @@ let add_source t (src : Source.t) =
     if lib <> "" then Hashtbl.replace t.t_libs lib ();
     let amap = Hashtbl.create 8 in
     Hashtbl.replace t.t_aliases src.Source.path amap;
+    let opens = ref [] in
     let prefix = if lib = "" then modname else lib ^ "." ^ modname in
     let rec items pfx l = List.iter (item pfx) l
     and item pfx it =
@@ -76,6 +80,8 @@ let add_source t (src : Source.t) =
                   d_name = txt;
                   d_params = params;
                   d_body = body;
+                  d_expr = vb.pvb_expr;
+                  d_scope = pfx;
                   d_loc = vb.pvb_loc;
                   d_file = src.Source.path }
               in
@@ -94,14 +100,19 @@ let add_source t (src : Source.t) =
             Hashtbl.replace amap sub
               (String.concat "." (Longident.flatten lid))
           | _ -> ()))
+      | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }
+        when pfx = prefix ->
+        opens := String.concat "." (Longident.flatten txt) :: !opens
       | _ -> ()
     in
-    items prefix str
+    items prefix str;
+    Hashtbl.replace t.t_opens src.Source.path !opens
 
 let build sources =
   let t =
     { t_defs = Hashtbl.create 512;
       t_aliases = Hashtbl.create 64;
+      t_opens = Hashtbl.create 64;
       t_libs = Hashtbl.create 8;
       t_file_scope = Hashtbl.create 64 }
   in
@@ -114,32 +125,55 @@ let defs t =
   Hashtbl.fold (fun _ d acc -> d :: acc) t.t_defs []
   |> List.sort (fun a b -> String.compare a.d_qual b.d_qual)
 
-let resolve t ~file dotted =
+(* "Tls.Codec.Inbound" -> ["Tls.Codec.Inbound"; "Tls.Codec"]: the module
+   paths a name used inside [scope] is looked up in, innermost first,
+   ending at the file's own module. *)
+let rec enclosing ~file_prefix scope =
+  if not (String.starts_with ~prefix:(file_prefix ^ ".") scope) then
+    [ file_prefix ]
+  else
+    scope
+    :: enclosing ~file_prefix (String.sub scope 0 (String.rindex scope '.'))
+
+let resolve t ~file ?scope ?(opens = []) dotted =
   let lib, modname =
     match Hashtbl.find_opt t.t_file_scope file with
     | Some x -> x
     | None -> ("", module_name_of_file file)
   in
   let local_prefix = if lib = "" then modname else lib ^ "." ^ modname in
-  let try_ q = if Hashtbl.mem t.t_defs q then Some q else None in
-  match String.split_on_char '.' dotted with
-  | [] -> None
-  | [ name ] -> try_ (local_prefix ^ "." ^ name)
-  | first :: rest ->
-    let expanded =
+  let scopes =
+    enclosing ~file_prefix:local_prefix
+      (Option.value ~default:local_prefix scope)
+  in
+  let opened =
+    opens @ Option.value ~default:[] (Hashtbl.find_opt t.t_opens file)
+  in
+  (* an open may name a module of an earlier open
+     ([open Crypto] ... [let open Ec in]), so pairs are tried too *)
+  let qualify d =
+    let first = List.hd (String.split_on_char '.' d) in
+    List.map (fun s -> s ^ "." ^ d) scopes
+    @ (if lib = "" || d = first then [] else [ lib ^ "." ^ d ])
+    @ (if Hashtbl.mem t.t_libs first then [ d ] else [])
+    @ List.concat_map
+        (fun o ->
+          (o ^ "." ^ d) :: List.map (fun o' -> o' ^ "." ^ o ^ "." ^ d) opened)
+        opened
+  in
+  let expanded =
+    match String.split_on_char '.' dotted with
+    | first :: (_ :: _ as rest) -> (
       match Hashtbl.find_opt t.t_aliases file with
-      | None -> None
+      | None -> []
       | Some amap -> (
         match Hashtbl.find_opt amap first with
-        | Some target -> Some (String.concat "." (target :: rest))
-        | None -> None)
-    in
-    let candidates =
-      (match expanded with
-      | Some e -> (if lib = "" then [] else [ lib ^ "." ^ e ]) @ [ e ]
-      | None -> [])
-      @ [ local_prefix ^ "." ^ dotted ]
-      @ (if lib = "" then [] else [ lib ^ "." ^ dotted ])
-      @ (if Hashtbl.mem t.t_libs first then [ dotted ] else [])
-    in
-    List.find_map try_ candidates
+        | Some target ->
+          let e = String.concat "." (target :: rest) in
+          qualify e @ [ e ]
+        | None -> []))
+    | _ -> []
+  in
+  List.find_map
+    (fun q -> if Hashtbl.mem t.t_defs q then Some q else None)
+    (expanded @ qualify dotted)

@@ -16,6 +16,9 @@ type def = {
   d_name : string; (* "open_ticket" *)
   d_params : string list; (* fun-chain parameter names, "_" if complex *)
   d_body : Parsetree.expression; (* body with the fun chain stripped *)
+  d_expr : Parsetree.expression; (* the whole bound expression, with the
+                                    optional-argument defaults *)
+  d_scope : string; (* enclosing module path: "Tls.Codec.Inbound" *)
   d_loc : Location.t;
   d_file : string;
 }
@@ -30,12 +33,17 @@ val find : t -> string -> def option
 val defs : t -> def list
 (** All definitions, sorted by qualified name (deterministic). *)
 
-val resolve : t -> file:string -> string -> string option
+val resolve :
+  t -> file:string -> ?scope:string -> ?opens:string list -> string ->
+  string option
 (** [resolve t ~file "K.hash"] — the qualified definition a dotted
     identifier occurring in [file] refers to, trying (in order) the
-    file's module aliases, the file's own nested modules, sibling
-    modules of the same library, and cross-library wrapped names.
-    [None] means "not defined in the tree" (stdlib or external). *)
+    file's module aliases, the enclosing modules from [scope] (a
+    definition's [d_scope]) out to the file's own, sibling modules of
+    the same library, cross-library wrapped names, and finally the
+    modules opened by [opens] (local [let open]s, innermost first) and
+    by the file's toplevel [open]s. [None] means "not defined in the
+    tree" (stdlib or external). *)
 
 val lib_of_path : string -> string option
 (** Wrapped-library toplevel module implied by a path, e.g.

@@ -17,12 +17,10 @@ type t = {
   netem : netem;
   tap : float -> Packet.t -> unit;
   paths : (string, path) Hashtbl.t; (* keyed by src host *)
-  mutable delivered : int;
-  mutable lost : int;
 }
 
 let create engine rng netem ~tap =
-  { engine; rng; netem; tap; paths = Hashtbl.create 4; delivered = 0; lost = 0 }
+  { engine; rng; netem; tap; paths = Hashtbl.create 4 }
 
 let path_for t src =
   match Hashtbl.find_opt t.paths src with
@@ -46,14 +44,12 @@ let send t packet ~deliver =
     | Some host -> packet.Packet.dst = host
   in
   if loss_applies && Crypto.Drbg.float t.rng < t.netem.loss then begin
-    t.lost <- t.lost + 1;
     if Trace.Sink.enabled () then
       Trace.Sink.instant ~track:"net" ~cat:"net" ~name:"drop"
         ~args:[ ("packet", Packet.describe packet) ]
         now
   end
   else begin
-    t.delivered <- t.delivered + 1;
     let serialization =
       float_of_int (8 * Packet.wire_bytes packet) /. t.netem.rate_bps
     in
@@ -79,6 +75,3 @@ let send t packet ~deliver =
         t.tap tx_done packet);
     Engine.schedule_at t.engine ~time:arrival (fun () -> deliver packet)
   end
-
-let stats_delivered t = t.delivered
-let stats_lost t = t.lost

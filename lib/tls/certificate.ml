@@ -43,7 +43,3 @@ let decode s =
   let signature = Wire.Reader.vec24 r in
   Wire.Reader.expect_end r;
   { subject; issuer; algorithm; public_key; tbs_extra; signature }
-
-let verify chain alg =
-  alg.Pqc.Sigalg.verify ~public:chain.ca_public_key ~msg:(tbs chain.leaf)
-    chain.leaf.signature

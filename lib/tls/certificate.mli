@@ -22,9 +22,6 @@ val make_chain : Pqc.Sigalg.t -> Crypto.Drbg.t -> chain * Pqc.Sigalg.keypair
 val encode : t -> string
 val decode : string -> t
 
-val verify : chain -> Pqc.Sigalg.t -> bool
-(** Check the leaf signature against the CA public key. *)
-
 val tbs : t -> string
 (** The signed portion, for verification. *)
 

@@ -54,8 +54,3 @@ val entry_overhead : int
 (** Per-entry framing bytes: vec24 length prefix + empty extensions. *)
 
 val levels : t -> level_stat list
-val wire_bytes : t -> int
-(** Sum of entry bytes — the Certificate-message payload the chain adds. *)
-
-val verify_ms : t -> float
-(** Total full-chain verification CPU in virtual ms. *)

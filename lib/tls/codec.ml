@@ -1,3 +1,5 @@
+let max_fragment = 16384
+
 module Consumable = struct
   type t = { mutable data : Buffer.t; mutable offset : int }
 
@@ -46,18 +48,27 @@ module Inbound = struct
   let feed t s = Consumable.add t.raw s
   let enable_decryption t r = t.crypt <- Some r
 
-  (* consume one full record from raw if available; return true on progress *)
+  (* consume one full record from raw if available; return true on
+     progress. An oversize length is rejected from the header alone:
+     2^14 for TLSPlaintext, 2^14 + 256 for TLSCiphertext (RFC 8446
+     sections 5.1 and 5.2). *)
   let pull_record t =
     match Consumable.peek t.raw 5 with
     | None -> false
     | Some header ->
+      let ty = Wire.Content_type.of_byte (Char.code header.[0]) in
       let len = (Char.code header.[3] lsl 8) lor Char.code header.[4] in
+      let limit =
+        if ty = Wire.Content_type.Application_data then max_fragment + 256
+        else max_fragment
+      in
+      if len > limit then raise (Wire.Decode_error "record_overflow");
       (match Consumable.peek t.raw (5 + len) with
       | None -> false
       | Some full ->
         Consumable.consume t.raw (5 + len);
         let body = String.sub full 5 len in
-        (match Wire.Content_type.of_byte (Char.code full.[0]) with
+        (match ty with
         | Wire.Content_type.Change_cipher_spec ->
           t.pending_ccs <- true;
           true
@@ -112,41 +123,13 @@ module Inbound = struct
     go ()
 end
 
-let max_fragment = 16384
-
-let fragment_plaintext msg =
-  let buf = Buffer.create (String.length msg + 16) in
+let fragment write msg =
   let n = String.length msg in
+  let buf = Buffer.create (n + 64) in
   let pos = ref 0 in
   while !pos < n do
     let len = min max_fragment (n - !pos) in
-    Buffer.add_string buf
-      (Wire.record Wire.Content_type.Handshake (String.sub msg !pos len));
-    pos := !pos + len
-  done;
-  Buffer.contents buf
-
-let fragment_encrypted crypt msg =
-  let buf = Buffer.create (String.length msg + 64) in
-  let n = String.length msg in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min max_fragment (n - !pos) in
-    Buffer.add_string buf
-      (Record.seal crypt Wire.Content_type.Handshake (String.sub msg !pos len));
-    pos := !pos + len
-  done;
-  Buffer.contents buf
-
-let fragment_app crypt msg =
-  let buf = Buffer.create (String.length msg + 64) in
-  let n = String.length msg in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min max_fragment (n - !pos) in
-    Buffer.add_string buf
-      (Record.seal crypt Wire.Content_type.Application_data
-         (String.sub msg !pos len));
+    Buffer.add_string buf (write (String.sub msg !pos len));
     pos := !pos + len
   done;
   Buffer.contents buf

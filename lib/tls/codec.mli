@@ -36,19 +36,17 @@ module Inbound : sig
   (** Pull-driven: the state machine asks for the next event only when it
       is ready to process it (CPU-serialized), so records that arrive
       before the traffic keys exist stay buffered and undecrypted.
-      @raise Wire.Decode_error on malformed input or failed decryption. *)
+      @raise Wire.Decode_error on malformed input, failed decryption, or
+      a record longer than RFC 8446 allows ("record_overflow": 2^14
+      bytes of plaintext, 2^14 + 256 of ciphertext). *)
 end
 
 val max_fragment : int
 (** 2^14, RFC 8446 section 5.1. *)
 
-val fragment_plaintext : string -> string
-(** Wrap a handshake message into one or more plaintext records. *)
-
-val fragment_encrypted : Record.t -> string -> string
-(** Wrap into encrypted application_data records, advancing the write
-    state. *)
-
-val fragment_app : Record.t -> string -> string
-(** Like {!fragment_encrypted} but with inner type application_data —
-    0-RTT and post-handshake payload bytes. *)
+val fragment : (string -> string) -> string -> string
+(** [fragment write msg] cuts [msg] into {!max_fragment}-byte pieces and
+    concatenates [write piece] for each, in order: e.g.
+    [Wire.record Handshake] for plaintext records, or
+    [Record.seal crypt ty] for protected ones (advancing the write
+    state). *)

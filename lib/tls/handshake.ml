@@ -221,10 +221,14 @@ type server_ctx = {
   s_on_done : unit -> unit;
 }
 
+let plaintext = Codec.fragment (Wire.record Wire.Content_type.Handshake)
+
+let sealed crypt ty = Codec.fragment (Record.seal crypt ty)
+
 let server_encrypt ctx msg =
   match ctx.s_write with
-  | None -> Codec.fragment_plaintext msg
-  | Some crypt -> Codec.fragment_encrypted crypt msg
+  | None -> plaintext msg
+  | Some crypt -> sealed crypt Wire.Content_type.Handshake msg
 
 let kem_costs cfg = Pqc.Costs.kem cfg.Config.kem.Pqc.Kem.name
 let sig_costs cfg = Pqc.Costs.sig_ cfg.Config.sig_alg.Pqc.Sigalg.name
@@ -277,7 +281,7 @@ let server_on_resumption ctx (p : peer) msg (ch : M.client_hello) offer =
   in
   ctx.s_secrets <- Some secrets;
   ctx.s_client_hs_secret <- secrets.K.client_handshake_traffic;
-  flight_emit ctx.s_flight ~label:"SH" (Codec.fragment_plaintext sh);
+  flight_emit ctx.s_flight ~label:"SH" (plaintext sh);
   flight_emit ctx.s_flight ccs_record;
   ctx.s_write <- Some (make_record cfg secrets.K.server_handshake_traffic);
   flight_push_point ctx.s_flight;
@@ -338,7 +342,7 @@ let server_on_client_hello ctx (p : peer) msg =
                 ~group:cfg.Config.kem.Pqc.Kem.name in
     restart_transcript_after_ch1 p hrr;
     charge p.host Pqc.Costs.build_server_flight @@ fun () ->
-    Netsim.Tcp.write p.tcp ~marks:[ (0, "HRR") ] (Codec.fragment_plaintext hrr);
+    Netsim.Tcp.write p.tcp ~marks:[ (0, "HRR") ] (plaintext hrr);
     finish_step p
   end
   else
@@ -363,7 +367,7 @@ let server_on_client_hello ctx (p : peer) msg =
   ctx.s_secrets <- Some secrets;
   ctx.s_client_hs_secret <- secrets.K.client_handshake_traffic;
   (* ServerHello and the compatibility CCS travel in the clear *)
-  flight_emit ctx.s_flight ~label:"SH" (Codec.fragment_plaintext sh);
+  flight_emit ctx.s_flight ~label:"SH" (plaintext sh);
   flight_emit ctx.s_flight ccs_record;
   ctx.s_write <- Some (make_record cfg secrets.K.server_handshake_traffic);
   flight_push_point ctx.s_flight;
@@ -456,7 +460,7 @@ let server_on_client_finished ctx (p : peer) msg =
     in
     let crypt = make_record ctx.s_cfg s_app in
     Netsim.Tcp.write p.tcp ~marks:[ (0, "NST") ]
-      (Codec.fragment_encrypted crypt nst)
+      (sealed crypt Wire.Content_type.Handshake nst)
   end;
   p.done_ <- true;
   ctx.s_on_done ();
@@ -517,7 +521,7 @@ let client_dispatch ctx (p : peer) msg =
           early_data = false }
     in
     Transcript.add p.transcript ch2;
-    Netsim.Tcp.write p.tcp ~marks:[ (0, "CH2") ] (Codec.fragment_plaintext ch2);
+    Netsim.Tcp.write p.tcp ~marks:[ (0, "CH2") ] (plaintext ch2);
     finish_step p
   | `Server_hello, Wire.Handshake_type.Server_hello ->
     charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
@@ -605,7 +609,7 @@ let client_dispatch ctx (p : peer) msg =
       | Some crypt when ctx.c_early_data ->
         let eoed = M.encode_end_of_early_data () in
         Transcript.add p.transcript eoed;
-        Codec.fragment_encrypted crypt eoed
+        sealed crypt Wire.Content_type.Handshake eoed
       | _ -> ""
     in
     charge p.host Pqc.Costs.build_client_finished @@ fun () ->
@@ -617,7 +621,7 @@ let client_dispatch ctx (p : peer) msg =
     Transcript.add p.transcript fin;
     let crypt = make_record cfg secrets.K.client_handshake_traffic in
     let records =
-      eoed_records ^ ccs_record ^ Codec.fragment_encrypted crypt fin
+      eoed_records ^ ccs_record ^ sealed crypt Wire.Content_type.Handshake fin
     in
     Netsim.Tcp.write p.tcp ~marks:[ (0, "FIN_C") ] records;
     (* application traffic secrets, as OpenSSL derives them eagerly *)
@@ -754,7 +758,7 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
         let ch = M.encode_client_hello base in
         Transcript.add client_peer.transcript ch;
         Netsim.Tcp.write client_tcp ~marks:[ (0, "CH") ]
-          (Codec.fragment_plaintext ch)
+          (plaintext ch)
       | Some s ->
         (* psk_dhe_ke offer: binder over the truncated CH (computed with
            a placeholder binder of the same length, section 4.2.11.2) *)
@@ -780,7 +784,7 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
         let ch = M.encode_client_hello (offer binder) in
         Transcript.add client_peer.transcript ch;
         Netsim.Tcp.write client_tcp ~marks:[ (0, "CH") ]
-          (Codec.fragment_plaintext ch);
+          (plaintext ch);
         if client_ctx.c_early_data then begin
           charge client_host Pqc.Costs.key_schedule_derive @@ fun () ->
           let early_traffic =
@@ -794,5 +798,5 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
           in
           charge client_host (aead_cost (String.length payload)) @@ fun () ->
           Netsim.Tcp.write client_tcp ~marks:[ (0, "0RTT") ]
-            (Codec.fragment_app crypt payload)
+            (sealed crypt Wire.Content_type.Application_data payload)
         end)

@@ -269,8 +269,6 @@ let encode_certificate_chain certs =
   in
   W.handshake HT.Certificate (W.vec8 "" ^ W.vec24 entries)
 
-let encode_certificate cert = encode_certificate_chain [ cert ]
-
 let decode_certificate_chain msg =
   if handshake_type msg <> HT.Certificate then
     raise (W.Decode_error "not a Certificate");
@@ -287,11 +285,6 @@ let decode_certificate_chain msg =
   match entry_loop [] with
   | [] -> raise (W.Decode_error "Certificate: empty certificate_list")
   | certs -> certs
-
-let decode_certificate msg =
-  match decode_certificate_chain msg with
-  | [ cert ] -> cert
-  | _ -> raise (W.Decode_error "Certificate: expected a single entry")
 
 let encode_certificate_verify cv =
   W.handshake HT.Certificate_verify

@@ -68,13 +68,6 @@ val encode_certificate_chain : Certificate.t list -> string
 val decode_certificate_chain : string -> Certificate.t list
 (** @raise Wire.Decode_error on an empty certificate_list. *)
 
-val encode_certificate : Certificate.t -> string
-(** [encode_certificate_chain] of the single leaf — byte-identical to the
-    historical single-entry encoding (asserted in tests). *)
-
-val decode_certificate : string -> Certificate.t
-(** @raise Wire.Decode_error unless the list has exactly one entry. *)
-
 val encode_certificate_verify : certificate_verify -> string
 val decode_certificate_verify : string -> certificate_verify
 

@@ -210,12 +210,16 @@ let test_finding_delay_dominates_realistic () =
     (total lte > 200. && total lte < 320.)
 
 let test_attack_asymmetries () =
-  let row = Amplification.measure ~seed:"test" (kem "x25519") (sa "sphincs256") in
+  let measure k s =
+    Amplification.row_of (kem k) (sa s)
+      (Experiment.run ~seed:"test" (kem k) (sa s))
+  in
+  let row = measure "x25519" "sphincs256" in
   Alcotest.(check bool) "sphincs amplification huge" true
     (row.Amplification.amplification > 50.);
   Alcotest.(check bool) "exceeds QUIC limit" true
     (row.Amplification.amplification > Amplification.quic_limit);
-  let base = Amplification.measure ~seed:"test" (kem "x25519") (sa "rsa:2048") in
+  let base = measure "x25519" "rsa:2048" in
   Alcotest.(check bool) "baseline modest" true (base.Amplification.amplification < 3.);
   let sp = Experiment.run ~seed:"test" (kem "kyber512") (sa "sphincs128") in
   Alcotest.(check bool) "server-heavy CPU skew" true
@@ -223,13 +227,19 @@ let test_attack_asymmetries () =
 
 let test_whitebox_shapes () =
   (* Table 3's qualitative observations *)
-  let row = Whitebox.measure ~seed:"test" (1, "bikel1", "dilithium2") in
+  let row, sp =
+    match
+      Whitebox.rows ~seed:"test"
+        [ (1, "bikel1", "dilithium2"); (1, "kyber512", "sphincs128") ]
+    with
+    | [ Some row; Some sp ] -> (row, sp)
+    | _ -> Alcotest.fail "white-box cells failed"
+  in
   let client_libssl = List.assoc_opt "libssl" row.Whitebox.client_libs in
   let client_libcrypto = List.assoc_opt "libcrypto" row.Whitebox.client_libs in
   Alcotest.(check bool) "bike client dominated by libssl" true
     (Option.value ~default:0. client_libssl
     > Option.value ~default:0. client_libcrypto);
-  let sp = Whitebox.measure ~seed:"test" (1, "kyber512", "sphincs128") in
   Alcotest.(check bool) "sphincs server >90% libcrypto" true
     (Option.value ~default:0. (List.assoc_opt "libcrypto" sp.Whitebox.server_libs)
     > 0.9);

@@ -18,13 +18,6 @@ let test_sha2 () =
   check_hex "sha256 msg"
     "5c961f4161b7f0cc3eb77f4fab0fb3d164e48028a3f02fba4009e16e16974cf2"
     (Sha256.digest msg);
-  check_hex "sha224 abc"
-    "23097d223405d8228642a477bda255b32aadbce4bda0b3f7e36c9da7"
-    (Sha256.digest_224 "abc");
-  check_hex "sha384 msg"
-    "09ba5b8a487a9699bff70b5314cdcae6be592fbaf780b5f132ea31b90553b81b\
-     aec723fe163e7e9215921b4ce4c055f1"
-    (Sha512.digest_384 msg);
   check_hex "sha512 abc"
     "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
      2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
@@ -85,10 +78,6 @@ let test_hmac () =
   check_hex "hmac-sha256 rfc4231#2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
     (Hmac.hmac Hmac.sha256 ~key:"Jefe" "what do ya want for nothing?");
-  check_hex "hmac-sha512 rfc4231#2"
-    "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554\
-     9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737"
-    (Hmac.hmac Hmac.sha512 ~key:"Jefe" "what do ya want for nothing?");
   (* keys longer than the block size get hashed *)
   let long_key = String.make 200 'k' in
   Alcotest.(check string)
@@ -133,10 +122,6 @@ let test_aes_ctr () =
   (* keystream must be deterministic and a prefix-extension *)
   let ks2 = Aes.ctr_keystream key ~nonce:(String.make 12 '\000') 40 in
   Alcotest.(check string) "ctr prefix" ks2 (String.sub ks 0 40);
-  let pt = String.init 77 (fun i -> Char.chr (i * 3 mod 256)) in
-  let ct = Aes.ctr_encrypt key ~nonce:(String.make 12 '\000') pt in
-  Alcotest.(check string) "ctr roundtrip" pt
-    (Aes.ctr_encrypt key ~nonce:(String.make 12 '\000') ct);
   (* block i is the block cipher applied to nonce || big-endian i *)
   List.iter
     (fun nonce ->

@@ -333,6 +333,39 @@ let test_s2 () =
     []
     (fired "lib/core/s2c.ml" no_pool)
 
+(* R1 roots the call graph at bin/ and perfbench/: a lib/ definition
+   they do not reach is reported, with whether a test reaches it; with
+   no root in the checked set the rule says nothing *)
+let test_r1 () =
+  let r1 = [ rule "R1" ] in
+  let lib =
+    parse "lib/core/r1.ml"
+      "let live x = x
+let oracle x = x
+let dead x = x"
+  in
+  let root = parse "bin/r1_main.ml" "let main () = Core.R1.live 1" in
+  let test = parse "test/r1_test.ml" "open Core
+let t () = R1.oracle 1" in
+  let diags = run ~rules:r1 [ lib; root; test ] in
+  Alcotest.(check (list string)) "unreached definitions fire"
+    [ "oracle"; "dead" ]
+    (List.map (fun d -> d.Lint.Diag.symbol) diags);
+  Alcotest.(check bool) "test reach is reported" true
+    (contains (List.hd diags).Lint.Diag.message "only by tests");
+  Alcotest.(check (list string)) "no production root, no finding" []
+    (rules_fired (run ~rules:r1 [ lib; test ]));
+  let allowed =
+    parse "lib/core/r1.ml"
+      "let live x = x
+       let oracle x = x [@@lint.allow \"R1\" \"r1_test needs it\"]
+       let dead x = x"
+  in
+  Alcotest.(check (list string)) "an allow keeps a test oracle" [ "dead" ]
+    (List.map
+       (fun d -> d.Lint.Diag.symbol)
+       (run ~rules:r1 [ allowed; root; test ]))
+
 let test_sarif () =
   let diags = run [ parse "lib/fixture/sa_bad.ml" "let t = Sys.time ()" ] in
   let sarif =
@@ -359,7 +392,7 @@ let test_rule_metadata () =
         (String.length r.Lint.Rule.doc > 40))
     Lint.Engine.rules;
   Alcotest.(check (list string)) "catalog order"
-    [ "D1"; "D2"; "C1"; "C2"; "S1"; "S2"; "U1"; "M1" ]
+    [ "D1"; "D2"; "C1"; "C2"; "S1"; "S2"; "U1"; "M1"; "R1" ]
     (List.map (fun (r : Lint.Rule.t) -> r.Lint.Rule.name) Lint.Engine.rules);
   Alcotest.(check string) "severity vocabulary" "error"
     (Lint.Rule.severity_string Lint.Rule.Error)
@@ -390,7 +423,7 @@ let test_repo_clean () =
   | None -> print_endline "no checkout found; skipping repo-wide lint"
   | Some root ->
     let paths =
-      List.map (Filename.concat root) [ "lib"; "bin"; "test" ]
+      List.map (Filename.concat root) [ "lib"; "bin"; "perfbench"; "test" ]
     in
     let sources, errors = Lint.Source.load_paths paths in
     Alcotest.(check (list (pair string string))) "everything parses" []
@@ -415,7 +448,7 @@ let test_fixture_corpus () =
     let dir = Filename.concat root "test/lint_fixtures" in
     let sources, errors = Lint.Source.load_paths [ dir ] in
     Alcotest.(check (list (pair string string))) "fixtures parse" [] errors;
-    Alcotest.(check int) "fixture corpus size" 7 (List.length sources);
+    Alcotest.(check int) "fixture corpus size" 15 (List.length sources);
     List.iter
       (fun (name, expected) ->
         let diags = run ~rules:[ rule name ] sources in
@@ -427,7 +460,7 @@ let test_fixture_corpus () =
             Alcotest.(check string) "only the selected rule fires" name
               d.Lint.Diag.rule)
           diags)
-      [ ("C2", 5); ("U1", 2); ("S2", 1) ];
+      [ ("C2", 5); ("U1", 2); ("S2", 2); ("R1", 24) ];
     (* recursive scans skip the corpus, so the repo-wide clean run and
        the blocking CI lint job never see these deliberate findings *)
     let scanned = Lint.Source.scan [ Filename.concat root "test" ] in
@@ -448,6 +481,7 @@ let suites =
         Alcotest.test_case "S2 domain race" `Quick test_s2;
         Alcotest.test_case "U1 unsafe confinement" `Quick test_u1;
         Alcotest.test_case "M1 interfaces" `Quick test_m1;
+        Alcotest.test_case "R1 reachability" `Quick test_r1;
         Alcotest.test_case "attribute suppression" `Quick
           test_attribute_suppression;
         Alcotest.test_case "allowlist file" `Quick test_allowlist_file;

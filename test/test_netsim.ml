@@ -141,9 +141,7 @@ let test_link_loss () =
   done;
   Netsim.Engine.run e;
   Alcotest.(check bool) "about half dropped" true (!got > 400 && !got < 600);
-  Alcotest.(check int) "directional loss" 100 !got_rev;
-  Alcotest.(check int) "loss accounting" (1100 - !got - !got_rev)
-    (Netsim.Link.stats_lost link)
+  Alcotest.(check int) "directional loss" 100 !got_rev
 
 let test_link_lost_packet_frees_wire () =
   (* netem drops before the interface queue: a dropped packet must not

@@ -4,6 +4,9 @@
 let kem name = Pqc.Registry.find_kem name
 let sa name = Pqc.Registry.find_sig name
 
+let plaintext_records =
+  Tls.Codec.fragment (Tls.Wire.record Tls.Wire.Content_type.Handshake)
+
 (* ---- wire ------------------------------------------------------------------ *)
 
 let test_wire_vectors () =
@@ -63,19 +66,19 @@ let test_server_hello_roundtrip () =
   Alcotest.(check bool) "roundtrip" true (dec = sh)
 
 let test_certificate_roundtrip () =
-  let alg = sa "dilithium2" in
-  let chain, _ = Tls.Certificate.make_chain alg (Crypto.Drbg.create ~seed:"cert") in
-  Alcotest.(check bool) "chain verifies" true (Tls.Certificate.verify chain alg);
-  let enc = Tls.Messages.encode_certificate chain.Tls.Certificate.leaf in
-  let dec = Tls.Messages.decode_certificate enc in
-  Alcotest.(check bool) "certificate roundtrip" true
-    (dec = chain.Tls.Certificate.leaf);
-  (* a tampered TBS must fail chain verification *)
-  let bad = { chain with
-              Tls.Certificate.leaf =
-                { chain.Tls.Certificate.leaf with Tls.Certificate.subject = "evil" } }
+  let chain, _ =
+    Tls.Chain.make Tls.Chain_profile.default ~leaf:(sa "dilithium2")
+      (Crypto.Drbg.create ~seed:"cert")
   in
-  Alcotest.(check bool) "tampered subject" false (Tls.Certificate.verify bad alg)
+  Alcotest.(check bool) "chain verifies" true (Tls.Chain.verify chain);
+  let leaf = Tls.Chain.leaf chain in
+  let enc = Tls.Messages.encode_certificate_chain [ leaf ] in
+  Alcotest.(check bool) "certificate roundtrip" true
+    (Tls.Messages.decode_certificate_chain enc = [ leaf ]);
+  (* a tampered TBS must fail chain verification *)
+  let bad = { leaf with Tls.Certificate.subject = "evil" } in
+  Alcotest.(check bool) "tampered subject" false
+    (Tls.Chain.verify_against ~local:chain [ bad ])
 
 (* ---- certificate hierarchies --------------------------------------------------- *)
 
@@ -89,19 +92,15 @@ let test_chain_codec () =
   let enc = Tls.Messages.encode_certificate_chain certs in
   Alcotest.(check bool) "chain codec roundtrip" true
     (Tls.Messages.decode_certificate_chain enc = certs);
-  (* the single-leaf encoder is the 1-entry chain encoder, byte for byte:
-     the default profile's Certificate message cannot move *)
-  let leaf = Tls.Chain.leaf chain in
-  Alcotest.(check string) "leaf encoder == 1-entry chain"
-    (Tls.Messages.encode_certificate_chain [ leaf ])
-    (Tls.Messages.encode_certificate leaf);
   (* the level accounting matches what actually gets encoded *)
   Alcotest.(check int) "wire_bytes matches encoded entries"
     (List.fold_left
        (fun a c ->
          a + String.length (Tls.Certificate.encode c) + Tls.Chain.entry_overhead)
        0 certs)
-    (Tls.Chain.wire_bytes chain);
+    (List.fold_left
+       (fun a l -> a + l.Tls.Chain.lv_bytes)
+       0 (Tls.Chain.levels chain));
   Alcotest.check_raises "empty certificate_list rejected"
     (Tls.Wire.Decode_error "Certificate: empty certificate_list") (fun () ->
       ignore
@@ -364,7 +363,7 @@ let test_ticket_roundtrip () =
     (String.length enc > String.length enc0);
   (* and the message survives TCP refragmentation through the codec *)
   let inb = Tls.Codec.Inbound.create () in
-  let stream = Tls.Codec.fragment_plaintext enc in
+  let stream = plaintext_records enc in
   String.iter (fun c -> Tls.Codec.Inbound.feed inb (String.make 1 c)) stream;
   (match Tls.Codec.Inbound.next inb with
   | Tls.Codec.Inbound.Handshake_message m ->
@@ -603,7 +602,7 @@ let test_codec_inbound () =
   in
   let stream =
     String.concat ""
-      (List.map Tls.Codec.fragment_plaintext msgs)
+      (List.map plaintext_records msgs)
   in
   let inb = Tls.Codec.Inbound.create () in
   let got = ref [] in
@@ -628,6 +627,27 @@ let test_codec_inbound () =
   Alcotest.(check int) "both messages" 2 (List.length !got);
   Alcotest.(check bool) "reassembled exactly" true (List.rev !got = msgs)
 
+(* RFC 8446 sections 5.1/5.2: more than 2^14 bytes of plaintext, or
+   2^14 + 256 of ciphertext, in one record is a record_overflow *)
+let test_codec_record_overflow () =
+  let error ty len =
+    let inb = Tls.Codec.Inbound.create () in
+    Tls.Codec.Inbound.feed inb (Tls.Wire.record ty (String.make len '\000'));
+    match Tls.Codec.Inbound.next inb with
+    | _ -> None
+    | exception Tls.Wire.Decode_error e -> Some e
+  in
+  let hs = Tls.Wire.Content_type.Handshake
+  and app = Tls.Wire.Content_type.Application_data in
+  Alcotest.(check (option string)) "plaintext of 2^14 accepted" None
+    (error hs 16384);
+  Alcotest.(check (option string)) "plaintext of 2^14 + 1 rejected"
+    (Some "record_overflow") (error hs 16385);
+  Alcotest.(check (option string)) "ciphertext of 2^14 + 256 accepted"
+    (Some "ciphertext before keys") (error app 16640);
+  Alcotest.(check (option string)) "ciphertext of 2^14 + 257 rejected"
+    (Some "record_overflow") (error app 16641)
+
 let suites =
   [ ( "tls",
       [ Alcotest.test_case "wire vectors" `Quick test_wire_vectors;
@@ -648,6 +668,8 @@ let suites =
         Alcotest.test_case "binder MAC" `Quick test_binder_mac;
         Alcotest.test_case "session ticket codec" `Quick test_ticket_roundtrip;
         Alcotest.test_case "codec reassembly" `Quick test_codec_inbound;
+        Alcotest.test_case "codec record overflow" `Quick
+          test_codec_record_overflow;
         Alcotest.test_case "resumption omits certificate" `Quick
           test_resumption_omits_certificate;
         Alcotest.test_case "resumption mocked == real" `Slow
