@@ -110,6 +110,79 @@ let metrics_artifact () =
     ("with farm cells",
      digest [ Metrics.to_json_string (Metrics.artifact m ~seed) ]) ]
 
+(* every byte and virtual instant of a handshake: each packet the link
+   tap sees as (time, direction, marks, payload), then both hosts' CPU
+   ledgers and charge counts. The payloads pin the DRBG draw order and
+   the key schedule (the real-crypto case seals every record), which the
+   timing alone would miss. Cases: a full handshake; default buffering
+   at a 1024-byte limit (the oversize-chunk branch); the HRR fallback;
+   full + NewSessionTicket + resumed 0-RTT, mocked and real. *)
+let handshake_bytes () =
+  let kem = Registry.find_kem and sa = Registry.find_sig in
+  let case ?(real = false) ?(resume = false) ?buffering ?buffer_limit
+      ?wrong_first_key_share name kem_name sig_name =
+    let buf = Buffer.create 65536 in
+    let engine = Netsim.Engine.create () in
+    let rng = rng ("handshake/" ^ name) in
+    let link =
+      Netsim.Link.create engine (Crypto.Drbg.fork rng "link") Netsim.Link.ideal
+        ~tap:(fun t (p : Netsim.Packet.t) ->
+          Printf.bprintf buf "%h %s>%s %d:" t p.src p.dst
+            (String.length p.payload);
+          List.iter (fun (o, l) -> Printf.bprintf buf "%d=%s," o l) p.marks;
+          Buffer.add_string buf p.payload)
+    in
+    let client_host = Netsim.Host.create engine ~name:"client" in
+    let server_host = Netsim.Host.create engine ~name:"server" in
+    let config =
+      (if real then Tls.Config.make else Tls.Config.mocked)
+        ?buffering ?buffer_limit ?wrong_first_key_share (kem kem_name)
+        (sa sig_name)
+    in
+    let handshake ?resume ?on_ticket ~early_data rng =
+      let result = ref None in
+      Tls.Handshake.run ?resume ~early_data ~issue_ticket:(on_ticket <> None)
+        ?on_ticket ~engine ~link
+        ~tcp_config:Netsim.Tcp.default_config ~client_host ~server_host
+        ~config ~rng ~on_done:(fun r -> result := Some r) ();
+      Netsim.Engine.run engine;
+      match !result with
+      | Some r ->
+        Printf.bprintf buf "done %h %h\n" r.Tls.Handshake.client_finished_at
+          r.Tls.Handshake.server_finished_at;
+        r
+      | None -> Alcotest.failf "%s: handshake did not complete" name
+    in
+    if resume then begin
+      let session = ref None in
+      ignore
+        (handshake ~early_data:false
+           ~on_ticket:(fun s -> session := Some s)
+           (Crypto.Drbg.fork rng "full"));
+      let r =
+        handshake ?resume:!session ~early_data:true
+          (Crypto.Drbg.fork rng "resumed")
+      in
+      Alcotest.(check bool) (name ^ " resumed") true r.Tls.Handshake.resumed;
+      Alcotest.(check bool) (name ^ " early data") true
+        (r.Tls.Handshake.early_data_bytes > 0)
+    end
+    else ignore (handshake ~early_data:false rng);
+    List.iter
+      (fun h ->
+        List.iter (fun (lib, ms) -> Printf.bprintf buf "%s=%h;" lib ms)
+          (Netsim.Host.ledger h);
+        Printf.bprintf buf "charges=%d\n" (Netsim.Host.charge_count h))
+      [ client_host; server_host ];
+    (name, digest [ Buffer.contents buf ])
+  in
+  [ case "full" "kyber512" "dilithium2";
+    case "default-buffered 1024" ~buffering:Tls.Config.Default_buffered
+      ~buffer_limit:1024 "kyber512" "dilithium2";
+    case "hrr" ~wrong_first_key_share:true "kyber512" "dilithium2";
+    case "resumed 0-RTT" ~resume:true "kyber768" "dilithium3";
+    case "resumed 0-RTT real" ~real:true ~resume:true "x25519" "rsa:2048" ]
+
 let pins =
   [ ("kyber90s768", kyber Kyber.kyber768_90s,
      [ ("keygen",
@@ -180,7 +253,18 @@ let pins =
      [ ("standard cells",
        "73815829bf00d44e06001fc52d20615e75ecdf8481c232b98ebbb371edd9d66a");
        ("with farm cells",
-       "c8a5fd7404faa40434749ce36cd2fa99a65e9988555adb6b40de66cf0b64cbc4") ]) ]
+       "c8a5fd7404faa40434749ce36cd2fa99a65e9988555adb6b40de66cf0b64cbc4") ]);
+    ("handshake bytes", handshake_bytes,
+     [ ("full",
+       "37f564b4ffc5d7c6d48ea40af4ddfb687856efe05640649d27bcc10c0c3083da");
+       ("default-buffered 1024",
+       "dd353ece5a9adeb9fe14440e4d5138a1aaa8e64afdfb5e88402ecb0bcdc88ff4");
+       ("hrr",
+       "9dd20fcae4110e8129ab48c4d37271576cb6765b95853b757b2f776b76539fbc");
+       ("resumed 0-RTT",
+       "ca9281af36ef70a71aa8330c1094fb92d1323edcc074217a2c2af04e31bda8c9");
+       ("resumed 0-RTT real",
+       "1d1dfb91eaa9ede9f52aae352e5c6a11d6b0f1c89121cea653c71177799eebc7") ]) ]
 
 let suites =
   [ ( "pins",

@@ -648,6 +648,167 @@ let test_codec_record_overflow () =
   Alcotest.(check (option string)) "ciphertext of 2^14 + 257 rejected"
     (Some "record_overflow") (error app 16641)
 
+(* ---- decoder fuzzing ------------------------------------------------------- *)
+
+(* Mutated valid input — byte flips, truncation, trailing junk — must be
+   rejected with [Wire.Decode_error] and nothing else: no
+   [Invalid_argument] from a [String.sub], no [Not_found], no assertion.
+   Mutation positions favour the bytes that carry structure: the first
+   96 of a message, where its length prefixes and extension headers
+   live, and the 5-byte header of each record in a flight. *)
+
+module M = Tls.Messages
+
+(* every message the handshake decodes, small enough that most flips
+   land on structure, each paired with the decoder applied to it *)
+let fuzz_messages =
+  let rng = Crypto.Drbg.create ~seed:"tls-fuzz" in
+  let g = Crypto.Drbg.generate rng in
+  let cert subject =
+    { Tls.Certificate.subject; issuer = "ca"; algorithm = "dilithium2";
+      public_key = g 48; tbs_extra = g 10; signature = g 64 }
+  in
+  let decoder f m = ignore (f m) in
+  [ ( M.encode_client_hello
+        { (make_offer rng ()) with M.key_share = g 32;
+          psk_offer =
+            Some { M.psk_identity = g 40; psk_obfuscated_age = 7;
+                   psk_binder = g 32 } },
+      decoder M.decode_client_hello );
+    ( M.encode_server_hello
+        { M.sh_random = g 32; sh_session_id = g 32; sh_group = "kyber768";
+          sh_key_share = g 32; sh_psk_selected = true },
+      decoder M.decode_server_hello );
+    ( M.encode_encrypted_extensions ~early_data_accepted:true (),
+      decoder M.ee_early_data_accepted );
+    ( M.encode_certificate_chain [ cert "leaf"; cert "intermediate" ],
+      decoder M.decode_certificate_chain );
+    ( M.encode_certificate_verify
+        { M.cv_algorithm = "dilithium2"; cv_signature = g 64 },
+      decoder M.decode_certificate_verify );
+    ( M.encode_new_session_ticket
+        { M.nst_lifetime = 7200; nst_age_add = 0x11223344; nst_nonce = "\x00";
+          nst_ticket = g 48; nst_max_early_data = 16384 },
+      decoder M.decode_new_session_ticket );
+    (M.encode_finished (g 32), decoder M.decode_finished) ]
+
+type mutation = Flip of int * int | Truncate of int | Junk of string
+
+let mutate s = function
+  | Flip (pos, bits) when s <> "" ->
+    let b = Bytes.of_string s in
+    let i = pos mod String.length s in
+    Bytes.set b i (Char.chr (Char.code s.[i] lxor bits));
+    Bytes.to_string b
+  | Flip _ -> s
+  | Truncate pos -> String.sub s 0 (pos mod (String.length s + 1))
+  | Junk j -> s ^ j
+
+let mutations pos =
+  let open QCheck.Gen in
+  list_size (int_range 1 3)
+    (frequency
+       [ (4, map2 (fun p b -> Flip (p, b)) pos (int_range 1 255));
+         (1, map (fun p -> Truncate p) pos);
+         (1, map (fun j -> Junk j) (string_size (int_range 1 8))) ])
+
+let show_mutations ms =
+  String.concat "; "
+    (List.map
+       (function
+         | Flip (p, b) -> Printf.sprintf "flip %d ^ %d" p b
+         | Truncate p -> Printf.sprintf "truncate %d" p
+         | Junk j -> Printf.sprintf "junk %S" j)
+       ms)
+
+let rejects_cleanly f =
+  match f () with () -> true | exception Tls.Wire.Decode_error _ -> true
+
+let fuzz_messages_prop =
+  let arb =
+    QCheck.make
+      ~print:(fun (i, ms) -> Printf.sprintf "message %d: %s" i (show_mutations ms))
+      QCheck.Gen.(
+        pair
+          (int_bound (List.length fuzz_messages - 1))
+          (mutations (frequency [ (3, int_bound 95); (1, nat) ])))
+  in
+  QCheck.Test.make ~name:"decoders reject mutated messages" ~count:10000 arb
+    (fun (i, ms) ->
+      let msg, decode = List.nth fuzz_messages i in
+      rejects_cleanly (fun () -> decode (List.fold_left mutate msg ms)))
+
+(* a server flight as it reaches the client's Codec.Inbound: SH and CCS
+   in the clear, then protected EE, CERT, a 0-RTT-style application
+   fragment and FIN. [gcm] picks AES-GCM over the size-preserving null
+   records; the reader gets a fresh state over the same keys. *)
+let fuzz_flight gcm =
+  let keys = Tls.Key_schedule.traffic_keys (String.make 32 '\x42') in
+  let state () =
+    if gcm then Tls.Record.create keys else Tls.Record.create_null ()
+  in
+  let w = state () in
+  let sealed = Tls.Record.seal w Tls.Wire.Content_type.Handshake in
+  let msg i = fst (List.nth fuzz_messages i) in
+  let stream =
+    plaintext_records (msg 1)
+    ^ Tls.Wire.record Tls.Wire.Content_type.Change_cipher_spec "\x01"
+    ^ sealed (msg 2) ^ sealed (msg 3)
+    ^ Tls.Record.seal w Tls.Wire.Content_type.Application_data "early"
+    ^ sealed (msg 6)
+  in
+  (* record start offsets, to aim mutations at the headers *)
+  let rec starts off =
+    if off + 5 > String.length stream then []
+    else
+      off
+      :: starts
+           (off + 5 + ((Char.code stream.[off + 3] lsl 8)
+                       lor Char.code stream.[off + 4]))
+  in
+  (stream, state, starts 0)
+
+let fuzz_records_prop gcm =
+  let stream, state, starts = fuzz_flight gcm in
+  let pos =
+    QCheck.Gen.(
+      frequency
+        [ (3, map2 ( + ) (oneofl starts) (int_bound 7)); (1, nat) ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (split, ms) ->
+        Printf.sprintf "split %d: %s" split (show_mutations ms))
+      QCheck.Gen.(pair nat (mutations pos))
+  in
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "codec rejects mutated %s records"
+         (if gcm then "GCM" else "null"))
+    ~count:(if gcm then 3000 else 5000) arb
+    (fun (split, ms) ->
+      let s = List.fold_left mutate stream ms in
+      let inb = Tls.Codec.Inbound.create () in
+      Tls.Codec.Inbound.enable_decryption inb (state ());
+      (* drain after each of two TCP-style chunks; every reassembled
+         handshake message is typed as the state machines would *)
+      let rec drain () =
+        match Tls.Codec.Inbound.next inb with
+        | Tls.Codec.Inbound.Need_more_data -> ()
+        | Tls.Codec.Inbound.Handshake_message m ->
+          ignore (M.handshake_type m);
+          drain ()
+        | Tls.Codec.Inbound.Application_data _
+        | Tls.Codec.Inbound.Change_cipher_spec -> drain ()
+      in
+      let cut = split mod (String.length s + 1) in
+      rejects_cleanly (fun () ->
+          Tls.Codec.Inbound.feed inb (String.sub s 0 cut);
+          drain ();
+          Tls.Codec.Inbound.feed inb
+            (String.sub s cut (String.length s - cut));
+          drain ()))
+
 let suites =
   [ ( "tls",
       [ Alcotest.test_case "wire vectors" `Quick test_wire_vectors;
@@ -686,4 +847,7 @@ let suites =
           test_chain_mocked_equals_real;
         Alcotest.test_case "buffering modes" `Quick test_buffering_modes;
         Alcotest.test_case "sizes scale with algorithms" `Quick
-          test_handshake_sizes_scale ] ) ]
+          test_handshake_sizes_scale ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ fuzz_messages_prop; fuzz_records_prop false;
+            fuzz_records_prop true ] ) ]
