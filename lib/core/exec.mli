@@ -121,3 +121,7 @@ val health_summary : t -> string
     attached, wall time since the context was created, fresh-vs-cached
     cell counts, and total / max per-cell wall time. Wall time is host
     time — print this to stderr to keep reports deterministic. *)
+
+val contains : needle:string -> string -> bool
+(** Substring test behind [fail_cell] and {!Profile.filter}; the empty
+    needle matches everything. *)

@@ -208,9 +208,9 @@ let run_spec_traced sp =
         else None
       in
       Tls.Handshake.run ?resume
-        ~early_data:(resume <> None && mix.Mix.early_data) ~issue_ticket:mixing
+        ~early_data:(resume <> None && mix.Mix.early_data)
         ~ticket_key:(seed ^ "/stek")
-        ~on_ticket:(fun s -> session := Some s)
+        ?on_ticket:(if mixing then Some (fun s -> session := Some s) else None)
         ~engine ~link ~tcp_config ~client_host ~server_host ~config ~rng
         ~on_done:(fun r ->
           (* chained lookups: stale retransmissions from the previous

@@ -232,20 +232,9 @@ let registry () =
   @ List.concat_map sa_ops Pqc.Registry.sigs
   @ kernel_ops ()
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  if nl = 0 then true
-  else begin
-    let found = ref false in
-    for i = 0 to hl - nl do
-      if (not !found) && String.sub hay i nl = needle then found := true
-    done;
-    !found
-  end
-
 let filter needle ops =
   List.filter
-    (fun o -> contains ~needle (group_name o.op_group ^ ":" ^ o.op_name))
+    (fun o -> Exec.contains ~needle (group_name o.op_group ^ ":" ^ o.op_name))
     ops
 
 (* --- measurement -------------------------------------------------- *)

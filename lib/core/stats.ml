@@ -1,17 +1,25 @@
-let percentile p xs =
+(* linear interpolation between the order statistics around each p, over
+   one shared sort; [who] names the caller in the empty-input error *)
+let interpolate who ps xs =
   match List.sort Float.compare xs with
-  | [] -> invalid_arg "Stats.percentile: empty"
+  | [] -> invalid_arg (who ^ ": empty")
   | sorted ->
     let a = Array.of_list sorted in
     let n = Array.length a in
-    if n = 1 then a.(0)
-    else begin
-      let pos = p *. float_of_int (n - 1) in
-      let lo = int_of_float (Float.floor pos) in
-      let hi = min (n - 1) (lo + 1) in
-      let frac = pos -. float_of_int lo in
-      a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-    end
+    List.map
+      (fun p ->
+        if n = 1 then a.(0)
+        else begin
+          let pos = p *. float_of_int (n - 1) in
+          let lo = int_of_float (Float.floor pos) in
+          let hi = min (n - 1) (lo + 1) in
+          let frac = pos -. float_of_int lo in
+          a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
+        end)
+      ps
+
+let percentiles ps xs = interpolate "Stats.percentiles" ps xs
+let percentile p xs = List.hd (interpolate "Stats.percentile" [ p ] xs)
 
 let median xs = percentile 0.5 xs
 
@@ -35,24 +43,6 @@ let stddev = function
     sqrt
       (List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs
       /. (n -. 1.))
-
-let percentiles ps xs =
-  match List.sort Float.compare xs with
-  | [] -> invalid_arg "Stats.percentiles: empty"
-  | sorted ->
-    let a = Array.of_list sorted in
-    let n = Array.length a in
-    List.map
-      (fun p ->
-        if n = 1 then a.(0)
-        else begin
-          let pos = p *. float_of_int (n - 1) in
-          let lo = int_of_float (Float.floor pos) in
-          let hi = min (n - 1) (lo + 1) in
-          let frac = pos -. float_of_int lo in
-          a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-        end)
-      ps
 
 let bootstrap_ci ?(resamples = 200) ?(confidence = 0.95) ~seed stat = function
   | [] -> invalid_arg "Stats.bootstrap_ci: empty"

@@ -16,8 +16,8 @@ val stddev : float list -> float
 
 val percentiles : float list -> float list -> float list
 (** [percentiles ps xs] evaluates every [p] in [ps] against one shared
-    sort of [xs] — the same linear interpolation as {!percentile}, for
-    the full p5..p99 ladder of a metrics distribution. *)
+    sort of [xs] — {!percentile} for each [p], for the full p5..p99
+    ladder of a metrics distribution. *)
 
 val bootstrap_ci :
   ?resamples:int ->

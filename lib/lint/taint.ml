@@ -85,17 +85,25 @@ let hashtbl_key_ops =
 type ctx = {
   c_syms : Symtab.t;
   c_summaries : (string, summary) Hashtbl.t;
-  c_file : string;
-  c_symbol : string;
+  c_def : Symtab.def;  (* the definition being evaluated *)
   c_emit : bool;
   mutable c_diags : Diag.t list;
 }
 
-let diag ctx loc msg =
+let report ctx ~rule loc msg =
   if ctx.c_emit then
     ctx.c_diags <-
-      Diag.make ~rule:"C2" ~file:ctx.c_file ~symbol:ctx.c_symbol loc msg
+      Diag.make ~rule ~file:ctx.c_def.Symtab.d_file
+        ~symbol:ctx.c_def.Symtab.d_name loc msg
       :: ctx.c_diags
+
+let diag ctx loc msg = report ctx ~rule:"C2" loc msg
+
+(* a bare name inside a nested module may be a sibling definition, so
+   resolution starts from the definition's enclosing module *)
+let resolve ctx dotted =
+  Symtab.resolve ctx.c_syms ~file:ctx.c_def.Symtab.d_file
+    ~scope:ctx.c_def.Symtab.d_scope dotted
 
 let summary_of ctx q =
   Option.value ~default:{ s_ret = false; s_arg_to_ret = false }
@@ -133,12 +141,9 @@ let rec bind_pat env pat v =
 let rec eval ctx env e =
   match declassify_reason e.pexp_attributes with
   | Some (loc, "") ->
-    if ctx.c_emit then
-      ctx.c_diags <-
-        Diag.make ~rule:"LINT" ~file:ctx.c_file ~symbol:ctx.c_symbol loc
-          "lint.declassify needs a non-empty reason: [@lint.declassify \
-           \"why this value may be observed\"]"
-        :: ctx.c_diags;
+    report ctx ~rule:"LINT" loc
+      "lint.declassify needs a non-empty reason: [@lint.declassify \
+       \"why this value may be observed\"]";
     eval_desc ctx env e
   | Some (_, _) ->
     (* Audited declassification: the subtree is still checked, but the
@@ -155,7 +160,7 @@ and eval_desc ctx env e =
     match String.split_on_char '.' dotted with
     | [ name ] when List.mem_assoc name env -> List.assoc name env
     | _ -> (
-      match Symtab.resolve ctx.c_syms ~file:ctx.c_file dotted with
+      match resolve ctx dotted with
       | Some q -> (
         match Symtab.find ctx.c_syms q with
         | Some d when d.Symtab.d_params = [] ->
@@ -345,7 +350,7 @@ and eval_apply ctx env f args =
         let resolved =
           match parts with
           | [ n ] when List.mem_assoc n env -> None
-          | _ -> Symtab.resolve ctx.c_syms ~file:ctx.c_file name
+          | _ -> resolve ctx name
         in
         (match resolved with
         | Some q ->
@@ -388,8 +393,7 @@ let analyse syms =
         let ctx =
           { c_syms = syms;
             c_summaries = summaries;
-            c_file = d.Symtab.d_file;
-            c_symbol = d.Symtab.d_name;
+            c_def = d;
             c_emit = false;
             c_diags = [] }
         in
@@ -424,8 +428,7 @@ let check_def t (d : Symtab.def) =
   let ctx =
     { c_syms = t.a_syms;
       c_summaries = t.a_summaries;
-      c_file = d.Symtab.d_file;
-      c_symbol = d.Symtab.d_name;
+      c_def = d;
       c_emit = true;
       c_diags = [] }
   in

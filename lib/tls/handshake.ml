@@ -17,11 +17,8 @@ type session = {
   max_early_data : int;
 }
 
-let charge host (op : Pqc.Costs.op) k =
-  Netsim.Host.charge host ~op:op.Pqc.Costs.label ~ms:op.Pqc.Costs.ms
-    ~lib:(Pqc.Costs.lib_name op.Pqc.Costs.lib) ~k
-
-let charge_n host (op : Pqc.Costs.op) n k =
+(* [n] back-to-back runs of [op], as one CPU charge *)
+let charge ?(n = 1) host (op : Pqc.Costs.op) k =
   Netsim.Host.charge host ~op:op.Pqc.Costs.label
     ~ms:(op.Pqc.Costs.ms *. float_of_int n)
     ~lib:(Pqc.Costs.lib_name op.Pqc.Costs.lib) ~k
@@ -202,33 +199,11 @@ let flight_push_point f =
   | Config.Optimized_push -> flight_flush f
   | Config.Default_buffered -> ()
 
-(* ---- server ------------------------------------------------------------- *)
-
-type server_ctx = {
-  s_cfg : Config.t;
-  s_creds : Credentials.t;
-  s_rng : Crypto.Drbg.t;
-  s_flight : flight;
-  s_issue_ticket : bool;
-  s_ticket_key : string;
-  mutable s_secrets : K.secrets option;
-  mutable s_write : Record.t option;
-  mutable s_client_hs_secret : string;
-  mutable s_sfin_hash : string;  (* transcript hash at the server Finished *)
-  mutable s_early_bytes : int;
-  mutable s_expect :
-    [ `Client_hello | `End_of_early_data | `Client_finished ];
-  s_on_done : unit -> unit;
-}
+(* ---- shared by both sides ----------------------------------------------- *)
 
 let plaintext = Codec.fragment (Wire.record Wire.Content_type.Handshake)
 
 let sealed crypt ty = Codec.fragment (Record.seal crypt ty)
-
-let server_encrypt ctx msg =
-  match ctx.s_write with
-  | None -> plaintext msg
-  | Some crypt -> sealed crypt Wire.Content_type.Handshake msg
 
 let kem_costs cfg = Pqc.Costs.kem cfg.Config.kem.Pqc.Kem.name
 let sig_costs cfg = Pqc.Costs.sig_ cfg.Config.sig_alg.Pqc.Sigalg.name
@@ -240,323 +215,333 @@ let aead_cost len =
       Pqc.Costs.aead_per_kilobyte.Pqc.Costs.ms
       *. (float_of_int len /. 1024.) }
 
-(* The psk_dhe_ke resumption flight (section 2.2): binder verification,
-   then ServerHello/EncryptedExtensions/Finished — no Certificate, no
-   CertificateVerify, no signature. *)
-let server_on_resumption ctx (p : peer) msg (ch : M.client_hello) offer =
-  let cfg = ctx.s_cfg in
-  let psk = open_ticket ~config:cfg ~ticket_key:ctx.s_ticket_key
-              offer.M.psk_identity in
-  (* early secret + binder key + binder MAC *)
-  charge_n p.host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
-  let early_secret = K.early_secret ~psk () in
-  let binder_key = K.binder_key ~early_secret in
-  let truncated_hash =
-    K.hash.Crypto.Hmac.digest (M.truncated_client_hello ch)
-  in
-  let expected =
-    K.binder_mac ~binder_key ~truncated_transcript_hash:truncated_hash
-  in
-  if not (Crypto.Bytesx.equal_ct offer.M.psk_binder expected) then
-    raise (Wire.Decode_error "PSK binder mismatch");
+(* the PSK binder: a MAC over the ClientHello truncated before its
+   binders list (section 4.2.11.2), so the binder bytes in [ch] do not
+   matter *)
+let binder ~psk ch =
+  K.binder_mac
+    ~binder_key:(K.binder_key ~early_secret:(K.early_secret ~psk ()))
+    ~truncated_transcript_hash:
+      (K.hash.Crypto.Hmac.digest (M.truncated_client_hello ch))
+
+(* Finished over the transcript so far (section 4.4.4) *)
+let finished_mac (p : peer) traffic_secret =
+  K.finished_mac ~traffic_secret ~transcript_hash:(Transcript.current p.transcript)
+
+let check_finished (p : peer) ~who traffic_secret msg =
+  let expected = finished_mac p traffic_secret in
+  if not (Crypto.Bytesx.equal_ct (M.decode_finished msg) expected) then
+    raise (Wire.Decode_error (who ^ " Finished MAC mismatch"));
+  Transcript.add p.transcript msg
+
+(* the PSK one NewSessionTicket carries: res master over the transcript
+   through the client Finished (section 7.1), expanded with the ticket
+   nonce (section 4.6.1) *)
+let resumption_psk (p : peer) (secrets : K.secrets) nonce =
+  K.resumption_psk
+    ~resumption_master:
+      (K.resumption_master ~master:secrets.K.master
+         ~finished_transcript_hash:(Transcript.current p.transcript))
+    ~ticket_nonce:nonce
+
+let handshake_done (p : peer) on_done =
+  p.done_ <- true;
+  on_done ();
+  finish_step p
+
+(* ---- server ------------------------------------------------------------- *)
+
+(* what the server keeps between its flight and the client Finished *)
+type hs = {
+  secrets : K.secrets;
+  sfin_hash : string;  (* transcript hash at the server Finished *)
+}
+
+type server_state =
+  | Wait_client_hello
+  | Wait_end_of_early_data of hs
+  | Wait_client_finished of hs
+
+type server = {
+  s_cfg : Config.t;
+  s_creds : Credentials.t;
+  s_rng : Crypto.Drbg.t;
+  s_flight : flight;
+  s_issue_ticket : bool;
+  s_ticket_key : string;
+  s_early_bytes : int ref;
+  mutable s_state : server_state;
+  s_on_done : unit -> unit;
+}
+
+(* the client Finished arrives under the client handshake traffic keys *)
+let await_client_finished ctx (p : peer) hs =
+  Codec.Inbound.enable_decryption p.inbound
+    (make_record ctx.s_cfg hs.secrets.K.client_handshake_traffic);
+  ctx.s_state <- Wait_client_finished hs;
+  finish_step p
+
+(* The server flight after an accepted ClientHello: ServerHello and CCS
+   in the clear, then EncryptedExtensions, Certificate, CertificateVerify
+   and Finished under the handshake keys. A resumed flight (psk_dhe_ke,
+   section 2.2: the ClientHello carries a PSK offer, and [?psk] is its
+   binder-checked PSK) has no Certificate, no CertificateVerify and no
+   signature. *)
+let server_flight ?psk ctx (p : peer) msg (ch : M.client_hello) =
+  let cfg = ctx.s_cfg and f = ctx.s_flight in
+  let resumed = ch.M.psk_offer <> None in
+  let early_data = resumed && ch.M.early_data in
   Transcript.add p.transcript msg;
   charge p.host (kem_costs cfg).Pqc.Costs.kem_encaps @@ fun () ->
-  let ct, shared_secret =
-    cfg.Config.kem.Pqc.Kem.encaps ctx.s_rng ch.M.key_share
-  in
+  let ct, shared_secret = cfg.Config.kem.Pqc.Kem.encaps ctx.s_rng ch.M.key_share in
   let sh =
     M.encode_server_hello
       { M.sh_random = Crypto.Drbg.generate ctx.s_rng 32;
         sh_session_id = ch.M.session_id;
         sh_group = cfg.Config.kem.Pqc.Kem.name;
         sh_key_share = ct;
-        sh_psk_selected = true }
+        sh_psk_selected = resumed }
   in
   Transcript.add p.transcript sh;
   charge p.host Pqc.Costs.build_server_flight @@ fun () ->
-  charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
+  charge ~n:4 p.host Pqc.Costs.key_schedule_derive @@ fun () ->
   let secrets =
-    K.handshake_secrets ~psk ~shared_secret
+    K.handshake_secrets ?psk ~shared_secret
       ~hello_transcript_hash:(Transcript.current p.transcript) ()
   in
-  ctx.s_secrets <- Some secrets;
-  ctx.s_client_hs_secret <- secrets.K.client_handshake_traffic;
-  flight_emit ctx.s_flight ~label:"SH" (plaintext sh);
-  flight_emit ctx.s_flight ccs_record;
-  ctx.s_write <- Some (make_record cfg secrets.K.server_handshake_traffic);
-  flight_push_point ctx.s_flight;
-  let ee = M.encode_encrypted_extensions ~early_data_accepted:ch.M.early_data () in
-  Transcript.add p.transcript ee;
-  flight_emit ctx.s_flight ~label:"EE" (server_encrypt ctx ee);
-  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-  let mac =
-    K.finished_mac ~traffic_secret:secrets.K.server_handshake_traffic
-      ~transcript_hash:(Transcript.current p.transcript)
+  (* ServerHello and the compatibility CCS travel in the clear *)
+  flight_emit f ~label:"SH" (plaintext sh);
+  flight_emit f ccs_record;
+  let crypt = make_record cfg secrets.K.server_handshake_traffic in
+  let emit label msg =
+    Transcript.add p.transcript msg;
+    flight_emit f ~label (sealed crypt Wire.Content_type.Handshake msg)
   in
-  let fin = M.encode_finished mac in
-  Transcript.add p.transcript fin;
-  ctx.s_sfin_hash <- Transcript.current p.transcript;
-  flight_emit ctx.s_flight ~label:"FIN" (server_encrypt ctx fin);
-  flight_flush ctx.s_flight;
-  if ch.M.early_data then begin
+  flight_push_point f;
+  emit "EE" (M.encode_encrypted_extensions ~early_data_accepted:early_data ());
+  (* EncryptedExtensions + Certificate do not wait for the signature *)
+  let authenticate k =
+    if resumed then k ()
+    else begin
+      emit "CERT"
+        (M.encode_certificate_chain
+           (Chain.wire_certs ctx.s_creds.Credentials.chain));
+      flight_push_point f;
+      charge p.host (sig_costs cfg).Pqc.Costs.sign @@ fun () ->
+      let signature =
+        cfg.Config.sig_alg.Pqc.Sigalg.sign ctx.s_rng
+          ~secret:ctx.s_creds.Credentials.server_key.Pqc.Sigalg.secret
+          (M.cv_signed_content ~transcript_hash:(Transcript.current p.transcript))
+      in
+      emit "CV"
+        (M.encode_certificate_verify
+           { M.cv_algorithm = cfg.Config.sig_alg.Pqc.Sigalg.name;
+             cv_signature = signature });
+      k ()
+    end
+  in
+  authenticate @@ fun () ->
+  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+  emit "FIN"
+    (M.encode_finished (finished_mac p secrets.K.server_handshake_traffic));
+  let hs = { secrets; sfin_hash = Transcript.current p.transcript } in
+  flight_flush f;
+  if early_data then begin
     (* 0-RTT records arrive under the client early traffic keys; the
        client hello hash is the transcript at the CH alone *)
     charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
     let early_traffic =
-      K.client_early_traffic ~early_secret
+      K.client_early_traffic ~early_secret:(K.early_secret ?psk ())
         ~client_hello_hash:(K.hash.Crypto.Hmac.digest msg)
     in
     Codec.Inbound.enable_decryption p.inbound (make_record cfg early_traffic);
     p.on_app <-
       (fun p frag ->
         charge p.host (aead_cost (String.length frag)) @@ fun () ->
-        ctx.s_early_bytes <- ctx.s_early_bytes + String.length frag;
+        ctx.s_early_bytes := !(ctx.s_early_bytes) + String.length frag;
         finish_step p);
-    ctx.s_expect <- `End_of_early_data;
+    ctx.s_state <- Wait_end_of_early_data hs;
     finish_step p
   end
-  else begin
-    Codec.Inbound.enable_decryption p.inbound
-      (make_record cfg ctx.s_client_hs_secret);
-    ctx.s_expect <- `Client_finished;
-    finish_step p
-  end
+  else await_client_finished ctx p hs
 
-let server_on_client_hello ctx (p : peer) msg =
+let server_dispatch ctx (p : peer) msg =
   let cfg = ctx.s_cfg in
-  let parse_cost =
-    { Pqc.Costs.parse_client_hello with
-      Pqc.Costs.ms =
-        Pqc.Costs.parse_client_hello.Pqc.Costs.ms
-        +. (sig_costs cfg).Pqc.Costs.ch_overhead }
-  in
-  charge p.host parse_cost @@ fun () ->
-  let ch = M.decode_client_hello msg in
-  match ch.M.psk_offer with
-  | Some offer -> server_on_resumption ctx p msg ch offer
-  | None ->
-  if ch.M.group <> cfg.Config.kem.Pqc.Kem.name then begin
-    (* wrong key-share guess: answer with HelloRetryRequest (2-RTT path) *)
-    Transcript.add p.transcript msg;
-    let hrr = encode_hrr ~session_id:ch.M.session_id
-                ~group:cfg.Config.kem.Pqc.Kem.name in
-    restart_transcript_after_ch1 p hrr;
-    charge p.host Pqc.Costs.build_server_flight @@ fun () ->
-    Netsim.Tcp.write p.tcp ~marks:[ (0, "HRR") ] (plaintext hrr);
-    finish_step p
-  end
-  else
-  charge p.host (kem_costs cfg).Pqc.Costs.kem_encaps @@ fun () ->
-  let ct, shared_secret = cfg.Config.kem.Pqc.Kem.encaps ctx.s_rng ch.M.key_share in
-  Transcript.add p.transcript msg;
-  let sh =
-    M.encode_server_hello
-      { M.sh_random = Crypto.Drbg.generate ctx.s_rng 32;
-        sh_session_id = ch.M.session_id;
-        sh_group = cfg.Config.kem.Pqc.Kem.name;
-        sh_key_share = ct;
-        sh_psk_selected = false }
-  in
-  Transcript.add p.transcript sh;
-  charge p.host Pqc.Costs.build_server_flight @@ fun () ->
-  charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
-  let hello_hash = Transcript.current p.transcript in
-  let secrets =
-    K.handshake_secrets ~shared_secret ~hello_transcript_hash:hello_hash ()
-  in
-  ctx.s_secrets <- Some secrets;
-  ctx.s_client_hs_secret <- secrets.K.client_handshake_traffic;
-  (* ServerHello and the compatibility CCS travel in the clear *)
-  flight_emit ctx.s_flight ~label:"SH" (plaintext sh);
-  flight_emit ctx.s_flight ccs_record;
-  ctx.s_write <- Some (make_record cfg secrets.K.server_handshake_traffic);
-  flight_push_point ctx.s_flight;
-  (* EncryptedExtensions + Certificate do not wait for the signature *)
-  let ee = M.encode_encrypted_extensions () in
-  Transcript.add p.transcript ee;
-  flight_emit ctx.s_flight ~label:"EE" (server_encrypt ctx ee);
-  let cert_msg =
-    M.encode_certificate_chain
-      (Chain.wire_certs ctx.s_creds.Credentials.chain)
-  in
-  Transcript.add p.transcript cert_msg;
-  flight_emit ctx.s_flight ~label:"CERT" (server_encrypt ctx cert_msg);
-  flight_push_point ctx.s_flight;
-  charge p.host (sig_costs cfg).Pqc.Costs.sign @@ fun () ->
-  let cv_content =
-    M.cv_signed_content ~transcript_hash:(Transcript.current p.transcript)
-  in
-  let signature =
-    cfg.Config.sig_alg.Pqc.Sigalg.sign ctx.s_rng
-      ~secret:ctx.s_creds.Credentials.server_key.Pqc.Sigalg.secret cv_content
-  in
-  let cv =
-    M.encode_certificate_verify
-      { M.cv_algorithm = cfg.Config.sig_alg.Pqc.Sigalg.name;
-        cv_signature = signature }
-  in
-  Transcript.add p.transcript cv;
-  flight_emit ctx.s_flight ~label:"CV" (server_encrypt ctx cv);
-  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-  let mac =
-    K.finished_mac
-      ~traffic_secret:(Option.get ctx.s_secrets).K.server_handshake_traffic
-      ~transcript_hash:(Transcript.current p.transcript)
-  in
-  let fin = M.encode_finished mac in
-  Transcript.add p.transcript fin;
-  ctx.s_sfin_hash <- Transcript.current p.transcript;
-  flight_emit ctx.s_flight ~label:"FIN" (server_encrypt ctx fin);
-  flight_flush ctx.s_flight;
-  ctx.s_expect <- `Client_finished;
-  (* client Finished arrives under the client handshake traffic keys *)
-  Codec.Inbound.enable_decryption p.inbound
-    (make_record cfg ctx.s_client_hs_secret);
-  finish_step p
-
-let server_on_end_of_early_data ctx (p : peer) msg =
-  Transcript.add p.transcript msg;
-  (* the client switches to its handshake keys after EndOfEarlyData *)
-  Codec.Inbound.enable_decryption p.inbound
-    (make_record ctx.s_cfg ctx.s_client_hs_secret);
-  ctx.s_expect <- `Client_finished;
-  finish_step p
-
-let server_on_client_finished ctx (p : peer) msg =
-  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-  let expected =
-    K.finished_mac ~traffic_secret:ctx.s_client_hs_secret
-      ~transcript_hash:(Transcript.current p.transcript)
-  in
-  if not (Crypto.Bytesx.equal_ct (M.decode_finished msg) expected) then
-    raise (Wire.Decode_error "client Finished MAC mismatch");
-  Transcript.add p.transcript msg;
-  if ctx.s_issue_ticket then begin
-    (* post-handshake NewSessionTicket under the server application
-       traffic keys: res master covers the client Finished (section 7.1),
-       the ticket PSK is HKDF-Expand-Label(res master, "resumption",
-       nonce) and rides STEK-sealed so the server stays stateless *)
-    charge_n p.host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
-    let secrets = Option.get ctx.s_secrets in
-    let _c_app, s_app =
-      K.application_secrets ~master:secrets.K.master
-        ~finished_transcript_hash:ctx.s_sfin_hash
+  match ctx.s_state with
+  | Wait_client_hello -> (
+    let parse_cost =
+      { Pqc.Costs.parse_client_hello with
+        Pqc.Costs.ms =
+          Pqc.Costs.parse_client_hello.Pqc.Costs.ms
+          +. (sig_costs cfg).Pqc.Costs.ch_overhead }
     in
-    let res_master =
-      K.resumption_master ~master:secrets.K.master
-        ~finished_transcript_hash:(Transcript.current p.transcript)
-    in
-    let nonce = "\x00" in
-    let psk = K.resumption_psk ~resumption_master:res_master ~ticket_nonce:nonce in
-    let nst =
-      M.encode_new_session_ticket
-        { M.nst_lifetime = ticket_lifetime_s;
-          nst_age_add =
-            Crypto.Bytesx.get_u32_be (Crypto.Drbg.generate ctx.s_rng 4) 0;
-          nst_nonce = nonce;
-          nst_ticket =
-            seal_ticket ~config:ctx.s_cfg ~ticket_key:ctx.s_ticket_key psk;
-          nst_max_early_data = default_max_early_data }
-    in
-    let crypt = make_record ctx.s_cfg s_app in
-    Netsim.Tcp.write p.tcp ~marks:[ (0, "NST") ]
-      (sealed crypt Wire.Content_type.Handshake nst)
-  end;
-  p.done_ <- true;
-  ctx.s_on_done ();
-  finish_step p
-
-let server_dispatch ctx p msg =
-  match ctx.s_expect with
-  | `Client_hello -> server_on_client_hello ctx p msg
-  | `End_of_early_data ->
+    charge p.host parse_cost @@ fun () ->
+    let ch = M.decode_client_hello msg in
+    match ch.M.psk_offer with
+    | Some offer ->
+      let psk =
+        open_ticket ~config:cfg ~ticket_key:ctx.s_ticket_key
+          offer.M.psk_identity
+      in
+      (* early secret + binder key + binder MAC *)
+      charge ~n:3 p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+      if not (Crypto.Bytesx.equal_ct offer.M.psk_binder (binder ~psk ch)) then
+        raise (Wire.Decode_error "PSK binder mismatch");
+      server_flight ~psk ctx p msg ch
+    | None when ch.M.group <> cfg.Config.kem.Pqc.Kem.name ->
+      (* wrong key-share guess: answer with HelloRetryRequest (2-RTT
+         path) and keep waiting for the second ClientHello *)
+      Transcript.add p.transcript msg;
+      let hrr =
+        encode_hrr ~session_id:ch.M.session_id
+          ~group:cfg.Config.kem.Pqc.Kem.name
+      in
+      restart_transcript_after_ch1 p hrr;
+      charge p.host Pqc.Costs.build_server_flight @@ fun () ->
+      Netsim.Tcp.write p.tcp ~marks:[ (0, "HRR") ] (plaintext hrr);
+      finish_step p
+    | None -> server_flight ctx p msg ch)
+  | Wait_end_of_early_data hs ->
     if M.handshake_type msg <> Wire.Handshake_type.End_of_early_data then
       raise (Wire.Decode_error "expected EndOfEarlyData");
-    server_on_end_of_early_data ctx p msg
-  | `Client_finished -> server_on_client_finished ctx p msg
+    Transcript.add p.transcript msg;
+    (* the client switches to its handshake keys after EndOfEarlyData *)
+    await_client_finished ctx p hs
+  | Wait_client_finished hs ->
+    charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+    check_finished p ~who:"client" hs.secrets.K.client_handshake_traffic msg;
+    if ctx.s_issue_ticket then begin
+      (* post-handshake NewSessionTicket under the server application
+         traffic keys; the ticket PSK rides STEK-sealed so the server
+         stays stateless *)
+      charge ~n:3 p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+      let _c_app, s_app =
+        K.application_secrets ~master:hs.secrets.K.master
+          ~finished_transcript_hash:hs.sfin_hash
+      in
+      let nonce = "\x00" in
+      let nst =
+        M.encode_new_session_ticket
+          { M.nst_lifetime = ticket_lifetime_s;
+            nst_age_add =
+              Crypto.Bytesx.get_u32_be (Crypto.Drbg.generate ctx.s_rng 4) 0;
+            nst_nonce = nonce;
+            nst_ticket =
+              seal_ticket ~config:cfg ~ticket_key:ctx.s_ticket_key
+                (resumption_psk p hs.secrets nonce);
+            nst_max_early_data = default_max_early_data }
+      in
+      Netsim.Tcp.write p.tcp ~marks:[ (0, "NST") ]
+        (sealed (make_record cfg s_app) Wire.Content_type.Handshake nst)
+    end;
+    handshake_done p ctx.s_on_done
 
 (* ---- client ------------------------------------------------------------- *)
 
-type client_ctx = {
+type client_state =
+  | Wait_server_hello of {
+      keypair : Pqc.Kem.keypair;  (* for the share offered in [group] *)
+      group : string;
+      session_id : string;
+      retried : bool;  (* a HelloRetryRequest was answered *)
+    }
+  | Wait_encrypted_extensions of K.secrets
+  | Wait_certificate of K.secrets
+  | Wait_cert_verify of K.secrets * Certificate.t  (* the server leaf *)
+  | Wait_finished of K.secrets
+  | Wait_ticket of { secrets : K.secrets; on_ticket : session -> unit }
+
+type client = {
   c_cfg : Config.t;
   c_rng : Crypto.Drbg.t;
   c_creds : Credentials.t; (* for the trusted CA public key *)
   c_resume : session option;
-  c_early_data : bool;
-  c_expect_ticket : bool;
-  c_on_ticket : session -> unit;
-  mutable c_keypair : Pqc.Kem.keypair option;
-  mutable c_session_id : string;
-  mutable c_retried : bool;
-  mutable c_secrets : K.secrets option;
-  mutable c_early_write : Record.t option;  (* 0-RTT seal state, for EOED *)
-  mutable c_sfin_hash : string;
-  mutable c_expect :
-    [ `Server_hello | `Encrypted_extensions | `Certificate | `Cert_verify
-    | `Finished | `Ticket ];
-  mutable c_server_cert : Certificate.t option;
+  c_early_write : Record.t option;  (* 0-RTT seal state, for EOED *)
+  c_on_ticket : (session -> unit) option;
+  mutable c_state : client_state;
   c_on_done : unit -> unit;
 }
 
+let client_hello cfg rng ~session_id ~group ~key_share =
+  { M.random = Crypto.Drbg.generate rng 32;
+    session_id;
+    group;
+    key_share;
+    sig_algs = [ cfg.Config.sig_alg.Pqc.Sigalg.name ];
+    psk_offer = None;
+    early_data = false }
+
+let send_client_hello (p : peer) label ch =
+  let msg = M.encode_client_hello ch in
+  Transcript.add p.transcript msg;
+  Netsim.Tcp.write p.tcp ~marks:[ (0, label) ] (plaintext msg);
+  msg
+
 let client_dispatch ctx (p : peer) msg =
   let cfg = ctx.c_cfg in
-  match (ctx.c_expect, M.handshake_type msg) with
-  | `Server_hello, Wire.Handshake_type.Server_hello
-    when is_hrr (M.decode_server_hello msg) ->
-    if ctx.c_retried then raise (Wire.Decode_error "second HelloRetryRequest");
-    ctx.c_retried <- true;
-    charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
-    restart_transcript_after_ch1 p msg;
-    (* now compute the share the server actually wants *)
-    charge p.host (kem_costs cfg).Pqc.Costs.kem_keygen @@ fun () ->
-    ctx.c_keypair <- Some (cfg.Config.kem.Pqc.Kem.keygen ctx.c_rng);
-    let ch2 =
-      M.encode_client_hello
-        { M.random = Crypto.Drbg.generate ctx.c_rng 32;
-          session_id = ctx.c_session_id;
-          group = cfg.Config.kem.Pqc.Kem.name;
-          key_share = (Option.get ctx.c_keypair).Pqc.Kem.public;
-          sig_algs = [ cfg.Config.sig_alg.Pqc.Sigalg.name ];
-          psk_offer = None;
-          early_data = false }
-    in
-    Transcript.add p.transcript ch2;
-    Netsim.Tcp.write p.tcp ~marks:[ (0, "CH2") ] (plaintext ch2);
+  let next state =
+    ctx.c_state <- state;
     finish_step p
-  | `Server_hello, Wire.Handshake_type.Server_hello ->
-    charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
+  in
+  match (ctx.c_state, M.handshake_type msg) with
+  | Wait_server_hello { keypair; group; session_id; retried },
+    Wire.Handshake_type.Server_hello ->
     let sh = M.decode_server_hello msg in
-    (if ctx.c_resume <> None && not sh.M.sh_psk_selected then
-       (* a real client would fall back to a full handshake; our server
-          always accepts a binder-valid offer, so this is fail-closed *)
-       raise (Wire.Decode_error "server ignored the PSK offer"));
-    charge p.host (kem_costs cfg).Pqc.Costs.kem_decaps @@ fun () ->
-    let keypair = Option.get ctx.c_keypair in
-    let shared_secret =
-      cfg.Config.kem.Pqc.Kem.decaps keypair.Pqc.Kem.secret sh.M.sh_key_share
-    in
+    if is_hrr sh then begin
+      if retried then raise (Wire.Decode_error "second HelloRetryRequest");
+      (* RFC 8446 4.1.4: the requested group must be one the client
+         supports and not the one it already sent a share for *)
+      if sh.M.sh_group <> cfg.Config.kem.Pqc.Kem.name || sh.M.sh_group = group
+      then raise (Wire.Decode_error "HelloRetryRequest group not acceptable");
+      charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
+      restart_transcript_after_ch1 p msg;
+      (* now compute the share the server actually wants *)
+      charge p.host (kem_costs cfg).Pqc.Costs.kem_keygen @@ fun () ->
+      let keypair = cfg.Config.kem.Pqc.Kem.keygen ctx.c_rng in
+      let group = sh.M.sh_group in
+      ignore
+        (send_client_hello p "CH2"
+           (client_hello cfg ctx.c_rng ~session_id ~group
+              ~key_share:keypair.Pqc.Kem.public));
+      next (Wait_server_hello { keypair; group; session_id; retried = true })
+    end
+    else begin
+      charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
+      (* the server must select the group of the share sent (section
+         4.1.4); the configured group is the only one this client can
+         complete *)
+      if sh.M.sh_group <> group || group <> cfg.Config.kem.Pqc.Kem.name then
+        raise (Wire.Decode_error "ServerHello group was not offered");
+      (if ctx.c_resume <> None && not sh.M.sh_psk_selected then
+         (* a real client would fall back to a full handshake; our server
+            always accepts a binder-valid offer, so this is fail-closed *)
+         raise (Wire.Decode_error "server ignored the PSK offer"));
+      charge p.host (kem_costs cfg).Pqc.Costs.kem_decaps @@ fun () ->
+      let shared_secret =
+        cfg.Config.kem.Pqc.Kem.decaps keypair.Pqc.Kem.secret sh.M.sh_key_share
+      in
+      Transcript.add p.transcript msg;
+      charge ~n:4 p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+      let secrets =
+        K.handshake_secrets
+          ?psk:(Option.map (fun s -> s.psk) ctx.c_resume)
+          ~shared_secret
+          ~hello_transcript_hash:(Transcript.current p.transcript) ()
+      in
+      Codec.Inbound.enable_decryption p.inbound
+        (make_record cfg secrets.K.server_handshake_traffic);
+      next (Wait_encrypted_extensions secrets)
+    end
+  | Wait_encrypted_extensions secrets, Wire.Handshake_type.Encrypted_extensions
+    ->
     Transcript.add p.transcript msg;
-    charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
-    let secrets =
-      K.handshake_secrets
-        ?psk:(Option.map (fun s -> s.psk) ctx.c_resume)
-        ~shared_secret
-        ~hello_transcript_hash:(Transcript.current p.transcript) ()
-    in
-    ctx.c_secrets <- Some secrets;
-    Codec.Inbound.enable_decryption p.inbound
-      (make_record cfg secrets.K.server_handshake_traffic);
-    ctx.c_expect <- `Encrypted_extensions;
-    finish_step p
-  | `Encrypted_extensions, Wire.Handshake_type.Encrypted_extensions ->
-    Transcript.add p.transcript msg;
-    (if ctx.c_early_data && not (M.ee_early_data_accepted msg) then
+    (if ctx.c_early_write <> None && not (M.ee_early_data_accepted msg) then
        raise (Wire.Decode_error "server rejected early data"));
     (* a resumed server flight carries no Certificate/CertificateVerify *)
-    ctx.c_expect <-
-      (if ctx.c_resume <> None then `Finished else `Certificate);
-    finish_step p
-  | `Certificate, Wire.Handshake_type.Certificate ->
+    next
+      (if ctx.c_resume <> None then Wait_finished secrets
+       else Wait_certificate secrets)
+  | Wait_certificate secrets, Wire.Handshake_type.Certificate -> (
     let certs = M.decode_certificate_chain msg in
     let local = ctx.c_creds.Credentials.chain in
     (* PKI check: walk the received chain up to the trust anchor, one
@@ -570,101 +555,68 @@ let client_dispatch ctx (p : peer) msg =
         @@ fun () -> charge_levels rest k
     in
     charge_levels (Chain.issuer_algs local) @@ fun () ->
-    if not (Chain.verify_against ~local certs) then
-      raise (Wire.Decode_error "certificate chain verification failed");
-    ctx.c_server_cert <- Some (List.hd certs);
-    Transcript.add p.transcript msg;
-    ctx.c_expect <- `Cert_verify;
-    finish_step p
-  | `Cert_verify, Wire.Handshake_type.Certificate_verify ->
+    match certs with
+    | leaf :: _ when Chain.verify_against ~local certs ->
+      Transcript.add p.transcript msg;
+      next (Wait_cert_verify (secrets, leaf))
+    | _ -> raise (Wire.Decode_error "certificate chain verification failed"))
+  | Wait_cert_verify (secrets, cert), Wire.Handshake_type.Certificate_verify ->
     let cv = M.decode_certificate_verify msg in
     let content =
       M.cv_signed_content ~transcript_hash:(Transcript.current p.transcript)
     in
     charge p.host (sig_costs cfg).Pqc.Costs.verify @@ fun () ->
-    let cert = Option.get ctx.c_server_cert in
     if
       not
-        (cfg.Config.sig_alg.Pqc.Sigalg.verify ~public:cert.Certificate.public_key
-           ~msg:content cv.M.cv_signature)
+        (cfg.Config.sig_alg.Pqc.Sigalg.verify
+           ~public:cert.Certificate.public_key ~msg:content cv.M.cv_signature)
     then raise (Wire.Decode_error "CertificateVerify signature invalid");
     Transcript.add p.transcript msg;
-    ctx.c_expect <- `Finished;
-    finish_step p
-  | `Finished, Wire.Handshake_type.Finished ->
+    next (Wait_finished secrets)
+  | Wait_finished secrets, Wire.Handshake_type.Finished -> (
     charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-    let secrets = Option.get ctx.c_secrets in
-    let expected =
-      K.finished_mac ~traffic_secret:secrets.K.server_handshake_traffic
-        ~transcript_hash:(Transcript.current p.transcript)
-    in
-    if not (Crypto.Bytesx.equal_ct (M.decode_finished msg) expected) then
-      raise (Wire.Decode_error "server Finished MAC mismatch");
-    Transcript.add p.transcript msg;
-    ctx.c_sfin_hash <- Transcript.current p.transcript;
+    check_finished p ~who:"server" secrets.K.server_handshake_traffic msg;
+    let sfin_hash = Transcript.current p.transcript in
     (* 0-RTT closes with EndOfEarlyData under the early keys, part of
        the transcript the client Finished covers (section 4.5) *)
     let eoed_records =
       match ctx.c_early_write with
-      | Some crypt when ctx.c_early_data ->
+      | Some crypt ->
         let eoed = M.encode_end_of_early_data () in
         Transcript.add p.transcript eoed;
         sealed crypt Wire.Content_type.Handshake eoed
-      | _ -> ""
+      | None -> ""
     in
     charge p.host Pqc.Costs.build_client_finished @@ fun () ->
-    let mac =
-      K.finished_mac ~traffic_secret:secrets.K.client_handshake_traffic
-        ~transcript_hash:(Transcript.current p.transcript)
+    let fin =
+      M.encode_finished (finished_mac p secrets.K.client_handshake_traffic)
     in
-    let fin = M.encode_finished mac in
     Transcript.add p.transcript fin;
     let crypt = make_record cfg secrets.K.client_handshake_traffic in
-    let records =
-      eoed_records ^ ccs_record ^ sealed crypt Wire.Content_type.Handshake fin
-    in
-    Netsim.Tcp.write p.tcp ~marks:[ (0, "FIN_C") ] records;
+    Netsim.Tcp.write p.tcp ~marks:[ (0, "FIN_C") ]
+      (eoed_records ^ ccs_record ^ sealed crypt Wire.Content_type.Handshake fin);
     (* application traffic secrets, as OpenSSL derives them eagerly *)
-    charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->
-    if ctx.c_expect_ticket then begin
+    charge ~n:2 p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+    let _c_app, s_app =
+      K.application_secrets ~master:secrets.K.master
+        ~finished_transcript_hash:sfin_hash
+    in
+    match ctx.c_on_ticket with
+    | Some on_ticket ->
       (* stay up for the post-handshake NewSessionTicket, which arrives
          under the server application traffic keys *)
-      let _c_app, s_app =
-        K.application_secrets ~master:secrets.K.master
-          ~finished_transcript_hash:ctx.c_sfin_hash
-      in
       Codec.Inbound.enable_decryption p.inbound (make_record cfg s_app);
-      ctx.c_expect <- `Ticket;
-      finish_step p
-    end
-    else begin
-      ignore
-        (K.application_secrets ~master:secrets.K.master
-           ~finished_transcript_hash:(Transcript.current p.transcript));
-      p.done_ <- true;
-      ctx.c_on_done ();
-      finish_step p
-    end
-  | `Ticket, Wire.Handshake_type.New_session_ticket ->
-    charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->
-    let secrets = Option.get ctx.c_secrets in
+      next (Wait_ticket { secrets; on_ticket })
+    | None -> handshake_done p ctx.c_on_done)
+  | Wait_ticket { secrets; on_ticket }, Wire.Handshake_type.New_session_ticket
+    ->
+    charge ~n:2 p.host Pqc.Costs.key_schedule_derive @@ fun () ->
     let nst = M.decode_new_session_ticket msg in
-    (* same derivation as the server: res master over the transcript
-       including the client Finished, then the per-ticket PSK *)
-    let res_master =
-      K.resumption_master ~master:secrets.K.master
-        ~finished_transcript_hash:(Transcript.current p.transcript)
-    in
-    let psk =
-      K.resumption_psk ~resumption_master:res_master
-        ~ticket_nonce:nst.M.nst_nonce
-    in
-    ctx.c_on_ticket
-      { psk; ticket = nst.M.nst_ticket; age_add = nst.M.nst_age_add;
+    on_ticket
+      { psk = resumption_psk p secrets nst.M.nst_nonce;
+        ticket = nst.M.nst_ticket; age_add = nst.M.nst_age_add;
         max_early_data = nst.M.nst_max_early_data };
-    p.done_ <- true;
-    ctx.c_on_done ();
-    finish_step p
+    handshake_done p ctx.c_on_done
   | _, ty ->
     raise
       (Wire.Decode_error
@@ -672,9 +624,9 @@ let client_dispatch ctx (p : peer) msg =
 
 (* ---- driver ------------------------------------------------------------- *)
 
-let run ?resume ?(early_data = false) ?(issue_ticket = false)
-    ?(ticket_key = "stek") ?(on_ticket = fun _ -> ()) ~engine ~link
-    ~tcp_config ~client_host ~server_host ~config ~rng ~on_done () =
+let run ?resume ?(early_data = false) ?(ticket_key = "stek") ?on_ticket
+    ~engine ~link ~tcp_config ~client_host ~server_host ~config ~rng ~on_done
+    () =
   let client_tcp, server_tcp =
     Netsim.Tcp.create_pair engine link tcp_config ~client:client_host
       ~server:server_host
@@ -685,19 +637,9 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
     Credentials.get ~profile:config.Config.chain_profile config.Config.sig_alg
   in
   let client_done_at = ref nan and server_done_at = ref nan in
-  let maybe_done_ref = ref (fun () -> ()) in
-  let server_ctx =
-    { s_cfg = config; s_creds = creds; s_rng = Crypto.Drbg.fork rng "server";
-      s_flight = make_flight config server_peer;
-      s_issue_ticket = issue_ticket; s_ticket_key = ticket_key;
-      s_secrets = None; s_write = None; s_client_hs_secret = "";
-      s_sfin_hash = ""; s_early_bytes = 0; s_expect = `Client_hello;
-      s_on_done =
-        (fun () ->
-          server_done_at := Netsim.Engine.now engine;
-          !maybe_done_ref ()) }
-  in
-  let maybe_done () =
+  let early_bytes = ref 0 in
+  let done_at side () =
+    side := Netsim.Engine.now engine;
     if not (Float.is_nan !client_done_at || Float.is_nan !server_done_at) then
       on_done
         { client_finished_at = !client_done_at;
@@ -705,97 +647,77 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
           client_tcp;
           server_tcp;
           resumed = resume <> None;
-          early_data_bytes = server_ctx.s_early_bytes }
+          early_data_bytes = !early_bytes }
   in
-  maybe_done_ref := maybe_done;
-  server_peer.dispatch <- (fun p msg -> server_dispatch server_ctx p msg);
-  let client_ctx =
-    { c_cfg = config; c_rng = Crypto.Drbg.fork rng "client"; c_creds = creds;
-      c_resume = resume; c_early_data = early_data && resume <> None;
-      c_expect_ticket = issue_ticket; c_on_ticket = on_ticket;
-      c_keypair = None; c_session_id = ""; c_retried = false;
-      c_secrets = None; c_early_write = None; c_sfin_hash = "";
-      c_expect = `Server_hello; c_server_cert = None;
-      c_on_done =
-        (fun () ->
-          client_done_at := Netsim.Engine.now engine;
-          maybe_done ()) }
+  let server =
+    { s_cfg = config; s_creds = creds; s_rng = Crypto.Drbg.fork rng "server";
+      s_flight = make_flight config server_peer;
+      s_issue_ticket = on_ticket <> None; s_ticket_key = ticket_key;
+      s_early_bytes = early_bytes; s_state = Wait_client_hello;
+      s_on_done = done_at server_done_at }
   in
-  client_peer.dispatch <- (fun p msg -> client_dispatch client_ctx p msg);
+  server_peer.dispatch <- server_dispatch server;
+  let c_rng = Crypto.Drbg.fork rng "client" in
+  (* the client holds its state from the moment the ClientHello is out *)
+  let start_client ~c_early_write state =
+    client_peer.dispatch <-
+      client_dispatch
+        { c_cfg = config; c_rng; c_creds = creds;
+          c_resume = resume; c_early_write;
+          c_on_ticket = on_ticket; c_state = state;
+          c_on_done = done_at client_done_at }
+  in
   (* the client pre-computes its key share, then opens the connection;
      none of this is inside the measured phases (Fig. 1). With
-     [wrong_first_key_share] it guesses a group the server will refuse. *)
-  let guess_cost =
-    if config.Config.wrong_first_key_share then
-      (Pqc.Costs.kem "x25519").Pqc.Costs.kem_keygen
-    else (kem_costs config).Pqc.Costs.kem_keygen
-  in
-  charge client_host guess_cost @@ fun () ->
-  let first_group, first_share =
-    if config.Config.wrong_first_key_share then
-      ("wrong-guess", Crypto.Drbg.generate client_ctx.c_rng 32)
-    else begin
-      client_ctx.c_keypair <-
-        Some (config.Config.kem.Pqc.Kem.keygen client_ctx.c_rng);
-      ( config.Config.kem.Pqc.Kem.name,
-        (Option.get client_ctx.c_keypair).Pqc.Kem.public )
-    end
+     [wrong_first_key_share] it guesses a group the server will refuse,
+     with a share it holds no secret for. *)
+  let wrong = config.Config.wrong_first_key_share in
+  let guess = if wrong then Pqc.Costs.kem "x25519" else kem_costs config in
+  charge client_host guess.Pqc.Costs.kem_keygen @@ fun () ->
+  let group, keypair =
+    if wrong then
+      ( "wrong-guess",
+        { Pqc.Kem.public = Crypto.Drbg.generate c_rng 32; secret = "" } )
+    else (config.Config.kem.Pqc.Kem.name, config.Config.kem.Pqc.Kem.keygen c_rng)
   in
   Netsim.Tcp.connect client_tcp ~on_established:(fun () ->
       charge client_host Pqc.Costs.build_client_finished @@ fun () ->
-      client_ctx.c_session_id <- Crypto.Drbg.generate client_ctx.c_rng 32;
-      let base =
-        { M.random = Crypto.Drbg.generate client_ctx.c_rng 32;
-          session_id = client_ctx.c_session_id;
-          group = first_group;
-          key_share = first_share;
-          sig_algs = [ config.Config.sig_alg.Pqc.Sigalg.name ];
-          psk_offer = None;
-          early_data = false }
+      let session_id = Crypto.Drbg.generate c_rng 32 in
+      let ch =
+        client_hello config c_rng ~session_id ~group
+          ~key_share:keypair.Pqc.Kem.public
       in
+      let state = Wait_server_hello { keypair; group; session_id; retried = false } in
       match resume with
       | None ->
-        let ch = M.encode_client_hello base in
-        Transcript.add client_peer.transcript ch;
-        Netsim.Tcp.write client_tcp ~marks:[ (0, "CH") ]
-          (plaintext ch)
+        ignore (send_client_hello client_peer "CH" ch);
+        start_client ~c_early_write:None state
       | Some s ->
         (* psk_dhe_ke offer: binder over the truncated CH (computed with
            a placeholder binder of the same length, section 4.2.11.2) *)
-        charge_n client_host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
-        let offer binder =
-          { base with
+        charge ~n:3 client_host Pqc.Costs.key_schedule_derive @@ fun () ->
+        let offer psk_binder =
+          { ch with
             M.psk_offer =
               Some
-                { M.psk_identity = s.ticket;
-                  psk_obfuscated_age = s.age_add;
-                  psk_binder = binder };
-            early_data = client_ctx.c_early_data }
+                { M.psk_identity = s.ticket; psk_obfuscated_age = s.age_add;
+                  psk_binder };
+            early_data }
         in
-        let early_secret = K.early_secret ~psk:s.psk () in
-        let binder_key = K.binder_key ~early_secret in
-        let truncated_hash =
-          K.hash.Crypto.Hmac.digest
-            (M.truncated_client_hello (offer (String.make 32 '\000')))
+        let msg =
+          send_client_hello client_peer "CH"
+            (offer (binder ~psk:s.psk (offer (String.make 32 '\000'))))
         in
-        let binder =
-          K.binder_mac ~binder_key ~truncated_transcript_hash:truncated_hash
-        in
-        let ch = M.encode_client_hello (offer binder) in
-        Transcript.add client_peer.transcript ch;
-        Netsim.Tcp.write client_tcp ~marks:[ (0, "CH") ]
-          (plaintext ch);
-        if client_ctx.c_early_data then begin
+        if not early_data then start_client ~c_early_write:None state
+        else begin
+          let crypt =
+            make_record config
+              (K.client_early_traffic ~early_secret:(K.early_secret ~psk:s.psk ())
+                 ~client_hello_hash:(K.hash.Crypto.Hmac.digest msg))
+          in
+          start_client ~c_early_write:(Some crypt) state;
           charge client_host Pqc.Costs.key_schedule_derive @@ fun () ->
-          let early_traffic =
-            K.client_early_traffic ~early_secret
-              ~client_hello_hash:(K.hash.Crypto.Hmac.digest ch)
-          in
-          let crypt = make_record config early_traffic in
-          client_ctx.c_early_write <- Some crypt;
-          let payload =
-            String.make (min early_data_size s.max_early_data) 'e'
-          in
+          let payload = String.make (min early_data_size s.max_early_data) 'e' in
           charge client_host (aead_cost (String.length payload)) @@ fun () ->
           Netsim.Tcp.write client_tcp ~marks:[ (0, "0RTT") ]
             (sealed crypt Wire.Content_type.Application_data payload)

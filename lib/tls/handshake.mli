@@ -44,7 +44,6 @@ val early_data_size : int
 val run :
   ?resume:session ->
   ?early_data:bool ->
-  ?issue_ticket:bool ->
   ?ticket_key:string ->
   ?on_ticket:(session -> unit) ->
   engine:Netsim.Engine.t ->
@@ -59,9 +58,11 @@ val run :
   unit
 (** Creates a fresh connection, runs one handshake and reports both
     completion times. [?resume] offers the session's PSK (psk_dhe_ke);
-    [?early_data] additionally sends 0-RTT data (needs [?resume]);
-    [?issue_ticket] has the server send a NewSessionTicket after the
-    handshake, delivered to [?on_ticket] — the client then counts as
-    finished once the ticket is processed. Raises [Wire.Decode_error]
-    on protocol corruption, including a PSK binder mismatch (which a
-    correct simulation never produces). *)
+    [?early_data] additionally sends 0-RTT data (needs [?resume]). The
+    server issues a NewSessionTicket exactly when [?on_ticket] is given:
+    the client then stays up for the ticket, hands the distilled
+    {!session} to [on_ticket], and counts as finished once it has.
+    Raises [Wire.Decode_error] on protocol corruption, including a PSK
+    binder mismatch (which a correct simulation never produces) and a
+    ServerHello or HelloRetryRequest selecting a group the client did
+    not offer or does not support (RFC 8446 section 4.1.4). *)

@@ -448,7 +448,7 @@ let test_fixture_corpus () =
     let dir = Filename.concat root "test/lint_fixtures" in
     let sources, errors = Lint.Source.load_paths [ dir ] in
     Alcotest.(check (list (pair string string))) "fixtures parse" [] errors;
-    Alcotest.(check int) "fixture corpus size" 15 (List.length sources);
+    Alcotest.(check int) "fixture corpus size" 16 (List.length sources);
     List.iter
       (fun (name, expected) ->
         let diags = run ~rules:[ rule name ] sources in
@@ -460,7 +460,7 @@ let test_fixture_corpus () =
             Alcotest.(check string) "only the selected rule fires" name
               d.Lint.Diag.rule)
           diags)
-      [ ("C2", 5); ("U1", 2); ("S2", 2); ("R1", 24) ];
+      [ ("C2", 7); ("U1", 2); ("S2", 2); ("R1", 28) ];
     (* recursive scans skip the corpus, so the repo-wide clean run and
        the blocking CI lint job never see these deliberate findings *)
     let scanned = Lint.Source.scan [ Filename.concat root "test" ] in

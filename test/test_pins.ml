@@ -141,8 +141,7 @@ let handshake_bytes () =
     in
     let handshake ?resume ?on_ticket ~early_data rng =
       let result = ref None in
-      Tls.Handshake.run ?resume ~early_data ~issue_ticket:(on_ticket <> None)
-        ?on_ticket ~engine ~link
+      Tls.Handshake.run ?resume ~early_data ?on_ticket ~engine ~link
         ~tcp_config:Netsim.Tcp.default_config ~client_host ~server_host
         ~config ~rng ~on_done:(fun r -> result := Some r) ();
       Netsim.Engine.run engine;

@@ -411,7 +411,8 @@ let run_handshake ?(buffering = Tls.Config.Optimized_push) ?chain_profile ~real
 
 (* one full handshake that issues a ticket, then one resumed handshake
    on the same simulated network; returns (full, resumed) results *)
-let run_resumption ?(early_data = false) ?tamper ~real kem_name sig_name =
+let run_resumption ?(early_data = false) ?tamper ?wrong_first_key_share ~real
+    kem_name sig_name =
   let engine = Netsim.Engine.create () in
   let rng = Crypto.Drbg.create ~seed:"tls-resume" in
   let link =
@@ -421,12 +422,12 @@ let run_resumption ?(early_data = false) ?tamper ~real kem_name sig_name =
   let client_host = Netsim.Host.create engine ~name:"client" in
   let server_host = Netsim.Host.create engine ~name:"server" in
   let config =
-    (if real then Tls.Config.make else Tls.Config.mocked) (kem kem_name)
-      (sa sig_name)
+    (if real then Tls.Config.make else Tls.Config.mocked)
+      ?wrong_first_key_share (kem kem_name) (sa sig_name)
   in
   let session = ref None and full = ref None and resumed = ref None in
   Tls.Handshake.run ~engine ~link ~tcp_config:Netsim.Tcp.default_config
-    ~client_host ~server_host ~config ~rng ~issue_ticket:true
+    ~client_host ~server_host ~config ~rng
     ~on_ticket:(fun s -> session := Some s)
     ~on_done:(fun r -> full := Some r)
     ();
@@ -500,6 +501,16 @@ let test_binder_mismatch_fails_closed () =
            ~tamper:(fun s ->
              { s with Tls.Handshake.ticket = flip_ct s.Tls.Handshake.ticket })
            "kyber768" "dilithium3"))
+
+let test_unoffered_group_rejected () =
+  (* a resuming client whose first share misses the server's group gets
+     a plain ServerHello (the PSK path answers without HRR), naming a
+     group it sent no share for (RFC 8446 4.1.4) *)
+  Alcotest.check_raises "ServerHello group"
+    (Tls.Wire.Decode_error "ServerHello group was not offered") (fun () ->
+      ignore
+        (run_resumption ~real:false ~wrong_first_key_share:true "kyber768"
+           "dilithium3"))
 
 let test_handshake_completes_everywhere () =
   (* every KA and every SA completes a handshake (mocked for speed) *)
@@ -838,6 +849,8 @@ let suites =
         Alcotest.test_case "0-RTT early data" `Quick test_zero_rtt;
         Alcotest.test_case "binder mismatch fails closed" `Quick
           test_binder_mismatch_fails_closed;
+        Alcotest.test_case "unoffered ServerHello group rejected" `Quick
+          test_unoffered_group_rejected;
         Alcotest.test_case "handshakes complete for all algorithms" `Slow
           test_handshake_completes_everywhere;
         Alcotest.test_case "real-crypto handshakes" `Slow test_real_handshakes;
